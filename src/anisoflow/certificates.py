@@ -16,7 +16,9 @@ A pair (u, z) with boundary flux v0 is optimal exactly when
 values; it is a reporting tool.  The same function records the exact
 nonnegative bookkeeping terms (pairing slack, per-block Young slack,
 boundary slack) whose sum is bounded by the duality gap of a certified
-solve, so large residuals always point at a genuine violation.
+solve, and equals it when div z + rhs = 0 holds exactly, as it does for
+the solver's elliptic dual.  Large residuals therefore always point at
+a genuine violation.
 """
 
 from __future__ import annotations
@@ -26,12 +28,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .energy import tv_block1
+from .energy import _cell_norms
 from .errors import InvalidInputError
 from .grid import (
     GridSpec,
+    _grad_impl,
+    _power_blocks,
+    _restrict_impl,
     boundary_restriction,
     boundary_weights,
+    check_boundary_field,
     check_scalar_field,
     check_vector_field,
     div_blocks,
@@ -68,7 +74,49 @@ class Certificate:
     boundary_sign_total: float
 
 
+class _GapTerms(NamedTuple):
+    """Nonnegative pieces of the duality gap at a feasible (u, z, flux)."""
+
+    pairing_gap: float
+    young_terms: tuple[float, ...]
+    sign: np.ndarray  # per face |u| + flux * u; empty without a trace term
+    boundary_sign_total: float
+
+    @property
+    def total(self) -> float:
+        return self.pairing_gap + sum(self.young_terms) + self.boundary_sign_total
+
+
+def _gap_terms(u, z, flux, spec: GridSpec, tv_norm: str) -> _GapTerms:
+    """Block-1 pairing slack, per-power-block Young slack, boundary sign slack.
+
+    Each term is nonnegative when the block-1 dual norm of z and |flux|
+    are at most 1.  Where div z + rhs = 0 holds exactly, the Gauss-Green
+    identity makes their sum equal the duality gap of the pair.  Inputs
+    are assumed validated.
+    """
+    vol = spec.cell_volume
+    n1 = spec.blocks[0]
+    g = _grad_impl(u, spec)
+    tv = float(np.sum(_cell_norms(g[:n1], tv_norm))) * vol
+    pairing = tv - float(np.vdot(z[:n1], g[:n1])) * vol
+    young = []
+    for sl, p, q in _power_blocks(spec):
+        gb, zb = g[sl], z[sl]
+        gm = np.sqrt(np.sum(gb * gb, axis=0))
+        zm = np.sqrt(np.sum(zb * zb, axis=0))
+        young.append(float(np.sum(gm**p / p + zm**q / q - np.sum(zb * gb, axis=0))) * vol)
+    if spec.has_trace_term:
+        tr = _restrict_impl(u, spec)
+        sign = np.abs(tr) + flux * tr
+        sign_total = float(np.sum(boundary_weights(spec) * sign))
+    else:
+        sign, sign_total = np.zeros(0), 0.0
+    return _GapTerms(pairing, tuple(young), sign, sign_total)
+
+
 def _block1_sup(z1: np.ndarray, tv_norm: str) -> float:
+    """Largest per-cell dual norm of the block-1 components."""
     if z1.size == 0:
         return 0.0
     if tv_norm == "euclidean":
@@ -217,55 +265,33 @@ def check_weak_solution(
     if boundary_trace is None:
         boundary_trace = sampled_normal_trace(z, spec)
     else:
-        boundary_trace = np.asarray(boundary_trace, dtype=float)
+        boundary_trace = check_boundary_field(boundary_trace, spec, name="boundary_trace")
 
-    g = gradient(u, spec)
-    tv = tv_block1(u, spec, tv_norm)
-    pairing = float(np.vdot(z[:n1], g[:n1])) * vol
-
-    young = []
+    terms = _gap_terms(u, z, boundary_trace, spec, tv_norm)
+    g = _grad_impl(u, spec)
     consti = []
-    for blk in range(2, spec.n_blocks + 1):
-        axes = spec.block_axes(blk)
-        sl = slice(axes[0], axes[-1] + 1)
-        p = spec.exponents[blk - 1]
-        q = p / (p - 1.0)
+    for sl, p, _q in _power_blocks(spec):
         gb = g[sl]
-        zb = z[sl]
         gm = np.sqrt(np.sum(gb * gb, axis=0))
-        zm = np.sqrt(np.sum(zb * zb, axis=0))
-        young.append(
-            float(np.sum(gm**p / p + zm**q / q - np.sum(zb * gb, axis=0))) * vol
-        )
         law = gm ** (p - 2.0) * gb if p >= 2.0 else np.where(gm > 0, gm, 1.0) ** (p - 2.0) * gb * (gm > 0)
-        diff = zb - law
+        diff = z[sl] - law
         consti.append(float(np.sqrt(np.sum(diff * diff) * vol)))
 
     w = div_blocks(z, spec, boundary_trace)
     div_res = float(np.sqrt(np.vdot(w + rhs, w + rhs).real * vol))
-
-    if spec.has_trace_term:
-        tr = boundary_restriction(u, spec)
-        sign_terms = np.abs(tr) + boundary_trace * tr
-        sign_res = float(np.max(np.abs(sign_terms))) if sign_terms.size else 0.0
-        sign_total = float(np.sum(boundary_weights(spec) * sign_terms))
-        trace_sup = float(np.max(np.abs(boundary_trace))) if boundary_trace.size else 0.0
-    else:
-        sign_res = 0.0
-        sign_total = 0.0
-        trace_sup = 0.0
+    sign = terms.sign
 
     return Certificate(
         mode=mode,
         boundary_mode=spec.boundary_mode,
         gap=float(gap),
         sup_norm_z1=_block1_sup(z[:n1], tv_norm),
-        pairing_residual=abs(tv - pairing),
+        pairing_residual=abs(terms.pairing_gap),
         constitutive_residuals=tuple(consti),
         divergence_residual=div_res,
-        boundary_sign_residual=sign_res,
-        trace_sup=trace_sup,
-        pairing_gap=tv - pairing,
-        young_terms=tuple(young),
-        boundary_sign_total=sign_total,
+        boundary_sign_residual=float(np.max(np.abs(sign))) if sign.size else 0.0,
+        trace_sup=float(np.max(np.abs(boundary_trace))) if sign.size else 0.0,
+        pairing_gap=terms.pairing_gap,
+        young_terms=terms.young_terms,
+        boundary_sign_total=terms.boundary_sign_total,
     )

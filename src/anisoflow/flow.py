@@ -122,11 +122,16 @@ def comparison_test(
     u2 = check_scalar_field(u20, spec, name="u20")
     t1 = evolve(u1, spec, tau_time, n_steps, opts)
     t2 = evolve(u2, spec, tau_time, n_steps, opts)
-    base = lp_norm(np.maximum(u1 - u2, 0.0), r, spec)
+    return _positive_part_growth(t1, t2, r, spec)
+
+
+def _positive_part_growth(t1: Trajectory, t2: Trajectory, r: float, spec: GridSpec) -> float:
+    """max over stored states of (||(u1_n - u2_n)^+||_r - ||(u1_0 - u2_0)^+||_r)^+."""
+    base = lp_norm(np.maximum(t1.states[0] - t2.states[0], 0.0), r, spec)
     worst = 0.0
     for a, b in zip(t1.states[1:], t2.states[1:]):
         worst = max(worst, lp_norm(np.maximum(a - b, 0.0), r, spec) - base)
-    return max(0.0, worst)
+    return worst
 
 
 def operator_pair(result, spec: GridSpec):

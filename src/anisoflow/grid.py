@@ -169,6 +169,27 @@ def check_vector_field(z, spec: GridSpec, name: str = "z") -> np.ndarray:
     return z
 
 
+def check_boundary_field(w, spec: GridSpec, name: str = "v0") -> np.ndarray:
+    """Validate and return a boundary field of shape ``(boundary_face_count,)``."""
+    w = np.asarray(w, dtype=float)
+    n = boundary_face_count(spec)
+    if w.shape != (n,):
+        raise InvalidInputError(f"{name} has shape {w.shape}, expected ({n},)")
+    if not np.all(np.isfinite(w)):
+        raise InvalidInputError(f"{name} contains non-finite entries")
+    return w
+
+
+def _power_blocks(spec: GridSpec) -> list[tuple[slice, float, float]]:
+    """(component slice, p, conjugate q) per block i >= 2."""
+    out = []
+    for b in range(2, spec.n_blocks + 1):
+        axes = spec.block_axes(b)
+        p = spec.exponents[b - 1]
+        out.append((slice(axes[0], axes[-1] + 1), p, p / (p - 1.0)))
+    return out
+
+
 def _idx(axis: int, sl) -> tuple:
     return (slice(None),) * axis + (sl,)
 
@@ -301,12 +322,7 @@ def boundary_scatter(w, spec: GridSpec) -> np.ndarray:
     <u, boundary_scatter(w)>_cells`` with face-area and cell-volume
     weights respectively.
     """
-    w = np.asarray(w, dtype=float)
-    if w.shape != (boundary_face_count(spec),):
-        raise InvalidInputError(
-            f"boundary field has shape {w.shape}, expected ({boundary_face_count(spec)},)"
-        )
-    return _scatter_impl(w, spec)
+    return _scatter_impl(check_boundary_field(w, spec, name="boundary field"), spec)
 
 
 def _scatter_impl(w: np.ndarray, spec: GridSpec) -> np.ndarray:

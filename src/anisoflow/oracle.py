@@ -24,6 +24,7 @@ from .grid import (
     GridSpec,
     boundary_restriction,
     boundary_scatter,
+    boundary_weights,
     check_scalar_field,
     gradient,
     interior_divergence,
@@ -93,8 +94,7 @@ def _value_and_grad(u, spec: GridSpec, eps: float, kind: str, data, tau_time: fl
     if spec.has_trace_term:
         tr = boundary_restriction(u, spec)
         tre = np.sqrt(tr * tr + eps * eps)
-        # face area = vol / h, which is exactly the scatter weighting
-        val += float(np.sum((tre - eps) * (vol / _face_h(spec))))
+        val += float(np.sum((tre - eps) * boundary_weights(spec)))
         grad += vol * boundary_scatter(tr / tre, spec)
 
     if kind == "elliptic":
@@ -105,14 +105,6 @@ def _value_and_grad(u, spec: GridSpec, eps: float, kind: str, data, tau_time: fl
         val += 0.5 / tau_time * float(np.vdot(d, d)) * vol
         grad += vol * d / tau_time
     return val, grad
-
-
-def _face_h(spec: GridSpec) -> np.ndarray:
-    parts = []
-    for a in spec.block1_axes:
-        n = int(np.prod(spec.dims)) // spec.dims[a]
-        parts.extend([np.full(n, spec.spacing[a])] * 2)
-    return np.concatenate(parts) if parts else np.zeros(0)
 
 
 def smoothed_energy(u, spec: GridSpec, eps: float, problem_kind: str = "flow",

@@ -11,21 +11,25 @@ operator norm so that sigma * tau * L^2 <= 1.
 
 Convergence is declared only through the certified gap: the primal
 value at the iterate minus a dual value that is a true lower bound of
-the problem.  For the resolvent the dual value is exact.  For the
-elliptic problem the dual divergence constraint is not enforced per
-iteration; instead the dual value is penalized by ||r|| * R where r is
-the measured constraint residual and R a coercivity radius containing
-the minimizer, keeping the bound valid at every iterate.
+the problem.  Both dual values are exact.  The resolvent dual has no
+constraint.  The elliptic dual needs div z + f = 0, which the iteration
+does not keep; at each check a copy of every dual candidate is
+restored onto it exactly (the PDHG iterate itself is left alone).  The
+restoration corrects only the last axis, which always belongs to a
+power block: its ghost-closed divergence is lower bidiagonal, so a
+cumulative sum inverts it, and power components carry no dual bound,
+so the unit bounds on the block-1 part and on v0 are untouched.
 
 Sign conventions: the conjugate-side multiplier is the negative of the
-iterated dual variable, so the returned vector field z equals the
-iterated dual directly, and the returned boundary field v0 (the weak
-normal flux on the penalized faces) is the negative of the iterated
-boundary dual.
+iterated dual variable, so the returned vector field z is the certified
+dual candidate itself (restored, for the elliptic problem), and the
+returned boundary field v0 (the weak normal flux on the penalized
+faces) is the negative of the candidate's boundary dual.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -39,15 +43,13 @@ from .grid import (
     GridSpec,
     _div_impl,
     _grad_impl,
+    _power_blocks,
     _restrict_impl,
     _scatter_impl,
-    boundary_restriction,
-    boundary_scatter,
-    boundary_weights,
+    boundary_face_count,
+    check_boundary_field,
     check_scalar_field,
     check_vector_field,
-    gradient,
-    interior_divergence,
 )
 from .prox import (
     project_ball,
@@ -104,7 +106,13 @@ class DualState:
 
 @dataclass
 class SolveReport:
-    """Certified outcome of a solve."""
+    """Certified outcome of a solve.
+
+    ``divergence_residual`` is the volume-weighted l2 norm of div z + f
+    (elliptic: roundoff, the dual being restored exactly) or of
+    u - g - tau_time * div z (resolvent: shrinks with the gap), with div
+    including the boundary flux v0.
+    """
 
     problem: str
     iterations: int
@@ -170,58 +178,28 @@ def _opnorm_cached(spec: GridSpec, iters: int, seed: int) -> float:
     return _OPNORM_CACHE[key]
 
 
-def coercivity_radius(f, spec: GridSpec) -> float:
-    """Radius R with ||u*||_{p_k} <= R for the elliptic minimizer.
-
-    From the energy comparison with u = 0 and the gradient bound along
-    the last block: C ||u||_{p_k}^{p_k} <= ||f||_{q_k} ||u||_{p_k} with
-    C = 1 / (p_k L^{p_k}).
-    """
-    f = check_scalar_field(f, spec, name="f")
-    pk = spec.exponents[-1]
-    qk = pk / (pk - 1.0)
-    fq = float((np.sum(np.abs(f) ** qk) * spec.cell_volume) ** (1.0 / qk))
-    c = 1.0 / (pk * spec.last_block_length() ** pk)
-    return (fq / c) ** (1.0 / (pk - 1.0))
-
-
-def _power_blocks(spec: GridSpec):
-    """(axis slice, p, q) per block i >= 2."""
-    out = []
-    for b in range(2, spec.n_blocks + 1):
-        axes = spec.block_axes(b)
-        p = spec.exponents[b - 1]
-        out.append((slice(axes[0], axes[-1] + 1), p, p / (p - 1.0)))
-    return out
-
-
-def _dual_norm_sup(y1: np.ndarray, tv_norm: str) -> float:
-    if y1.size == 0:
-        return 0.0
-    if tv_norm == "euclidean":
-        return float(np.sqrt(np.max(np.sum(y1 * y1, axis=0))))
-    return float(np.max(np.abs(y1)))
-
-
 class _Problem:
     """Shared state for one solve: operators, conjugates, gap bookkeeping."""
 
     def __init__(self, kind, data, spec, tau_time, opts):
+        if spec.n_blocks < 2:
+            raise InvalidInputError(
+                "solver needs at least one power block; pure block-1 grids are not solvable"
+            )
         self.kind = kind
         self.spec = spec
         self.opts = opts
-        self.tau_time = tau_time
         self.vol = spec.cell_volume
         self.n1 = spec.blocks[0]
         self.power = _power_blocks(spec)
         self.trace = spec.has_trace_term
-        self.bweights = boundary_weights(spec) if self.trace else None
         if kind == "elliptic":
             self.f = data
-            self.radius = coercivity_radius(data, spec)
-            self.qk = spec.exponents[-1] / (spec.exponents[-1] - 1.0)
         else:
+            if not (tau_time > 0 and math.isfinite(tau_time)):
+                raise InvalidInputError(f"tau_time must be positive and finite, got {tau_time}")
             self.g = data
+            self.tau_time = float(tau_time)
 
     def primal(self, u):
         if self.kind == "elliptic":
@@ -252,40 +230,24 @@ class _Problem:
         return w
 
     def dual(self, y, v0_cp):
-        """Certified lower bound on the primal infimum, plus the residual."""
+        """Certified lower bound on the primal infimum at (y, v0_cp).
+
+        Returns (value, y, w) with w = A*(y, v0_cp).  For the elliptic
+        problem y is a restored copy satisfying w + f = 0 to roundoff.
+        """
         w = self.adjoint_paper(y, v0_cp)
-        econj = self.conj_power_value(y)
         if self.kind == "elliptic":
-            r = w + self.f
-            rn = float((np.sum(np.abs(r) ** self.qk) * self.vol) ** (1.0 / self.qk))
-            return -econj - self.radius * rn, rn, w
+            y = y.copy()
+            y[-1] -= self.spec.spacing[-1] * np.cumsum(w + self.f, axis=-1)
+            w = self.adjoint_paper(y, v0_cp)
+            return -self.conj_power_value(y), y, w
         gconj = float(np.vdot(w, self.g)) * self.vol
         gconj += 0.5 * self.tau_time * float(np.vdot(w, w)) * self.vol
-        return -econj - gconj, float("nan"), w
-
-    def bracket_conjugate(self, u, grads, y, v0_cp, tv_value):
-        """Sum of the per-term Young/Fenchel gaps on the conjugate side."""
-        total = tv_value - float(np.vdot(y[: self.n1], grads[: self.n1])) * self.vol
-        for sl, p, q in self.power:
-            g = grads[sl]
-            yb = y[sl]
-            gm = np.sqrt(np.sum(g * g, axis=0))
-            ym = np.sqrt(np.sum(yb * yb, axis=0))
-            total += (
-                float(np.sum(gm**p / p + ym**q / q - np.sum(yb * g, axis=0))) * self.vol
-            )
-        if self.trace:
-            tr = _restrict_impl(u, self.spec)
-            total += float(np.sum(self.bweights * (np.abs(tr) - v0_cp * tr)))
-        return total
+        return -self.conj_power_value(y) - gconj, y, w
 
 
 def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=None):
     t0 = time.perf_counter()
-    if spec.n_blocks < 2:
-        raise InvalidInputError(
-            "solver needs at least one power block; pure block-1 grids are not solvable"
-        )
     data = check_scalar_field(data, spec, name="f" if kind == "elliptic" else "g")
     prob = _Problem(kind, data, spec, tau_time, opts)
 
@@ -296,8 +258,10 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
     u = np.zeros(spec.dims) if u_init is None else check_scalar_field(u_init, spec).copy()
     y = np.zeros((spec.ndim,) + spec.dims) if y_init is None else check_vector_field(y_init, spec).copy()
     if prob.trace:
-        nb = boundary_restriction(u, spec).shape[0]
-        v0_cp = np.zeros(nb) if v0_init is None else np.asarray(v0_init, dtype=float).copy()
+        if v0_init is None:
+            v0_cp = np.zeros(boundary_face_count(spec))
+        else:
+            v0_cp = check_boundary_field(v0_init, spec, name="v0_init").copy()
     else:
         v0_cp = None
     ubar = u.copy()
@@ -345,7 +309,7 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
             if prim_best is None or bd_c.total < prim_best[0].total:
                 prim_best = (bd_c, u_c.copy())
         for y_c, v0_c in d_cands:
-            dual_c, _rn_c, w_c = prob.dual(y_c, v0_c)
+            dual_c, y_c, w_c = prob.dual(y_c, v0_c)
             if dual_best is None or dual_c > dual_best[0]:
                 dual_best = (
                     dual_c,
@@ -357,12 +321,12 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
         dual_value, y_w, v0_w, w_w = dual_best
         gap = bd.total - dual_value
         if kind == "resolvent":
-            rr = u_w - prob.g - tau_time * w_w
-            rn = float(np.sqrt(np.vdot(rr, rr).real * prob.vol))
+            rr = u_w - prob.g - prob.tau_time * w_w
         else:
             rr = w_w + prob.f
-            rn = float(np.sqrt(np.vdot(rr, rr).real * prob.vol))
-        be = prob.bracket_conjugate(u_w, _grad_impl(u_w, spec), y_w, v0_w, bd.tv_block1)
+        rn = float(np.sqrt(np.vdot(rr, rr).real * prob.vol))
+        flux = None if v0_w is None else -v0_w
+        be = cert._gap_terms(u_w, y_w, flux, spec, opts.tv_norm).total
         u_out, y_out, v0_out = u_w, y_w, v0_w
         best_gap = min(best_gap, gap)
         history.append((it, float(gap), float(be), float(gap - be)))
@@ -395,7 +359,7 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
         if kind == "elliptic":
             u = prox_primal_linear(u - tau * w_cp, tau, prob.f)
         else:
-            u = prox_primal_quadratic(u - tau * w_cp, tau, prob.g, tau_time)
+            u = prox_primal_quadratic(u - tau * w_cp, tau, prob.g, prob.tau_time)
         ubar = u + theta * (u - u_old)
         acc_add(u, y, v0_cp)
         if it % opts.residual_check_every == 0 or it == opts.max_iter:
@@ -404,7 +368,7 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
 
     z = y_out
     v0_trace = None if v0_out is None else -v0_out
-    rhs = prob.f if kind == "elliptic" else (prob.g - u_out) / tau_time
+    rhs = prob.f if kind == "elliptic" else (prob.g - u_out) / prob.tau_time
     certificate = cert.check_weak_solution(
         u_out,
         z,
@@ -446,7 +410,7 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
 
 
 def _feasibility_violation(y, v0_cp, prob) -> float:
-    viol = max(0.0, _dual_norm_sup(y[: prob.n1], prob.opts.tv_norm) - 1.0)
+    viol = max(0.0, cert._block1_sup(y[: prob.n1], prob.opts.tv_norm) - 1.0)
     if v0_cp is not None and v0_cp.size:
         viol = max(viol, float(np.max(np.abs(v0_cp))) - 1.0)
     return max(0.0, viol)
@@ -481,13 +445,11 @@ def solve_resolvent(
     warm-start arguments seed the iteration (deterministically) with a
     previous state.
     """
-    if not tau_time > 0:
-        raise InvalidInputError("tau_time must be positive")
     return _solve(
         "resolvent",
         g,
         spec,
-        float(tau_time),
+        tau_time,
         opts or SolveOptions(),
         u_init=u_init,
         y_init=y_init,
@@ -515,7 +477,7 @@ def duality_gap(u, dual: DualState, data, spec: GridSpec, problem_kind: str,
     if prob.trace:
         if dual.v0 is None:
             raise InvalidInputError("dual state lacks v0 in dirichlet_penalized mode")
-        v0_cp = -np.asarray(dual.v0, dtype=float)
+        v0_cp = -check_boundary_field(dual.v0, spec, name="v0")
     viol = _feasibility_violation(y, v0_cp, prob)
     if viol > 1e-9:
         raise InvalidStateError(

@@ -142,6 +142,13 @@ class TestCheckWeakSolution:
                 np.zeros((8, 8)), np.zeros((2, 8, 8)), np.zeros((8, 8)), NEU, mode="flow"
             )
 
+    def test_boundary_trace_shape_validated(self):
+        with pytest.raises(InvalidInputError, match="boundary_trace"):
+            check_weak_solution(
+                np.zeros((8, 8)), np.zeros((2, 8, 8)), np.zeros((8, 8)), DIR,
+                boundary_trace=np.zeros(3),
+            )
+
     def test_reports_on_garbage_without_raising(self):
         cert = check_weak_solution(
             np.full((8, 8), 1e6),

@@ -10,6 +10,7 @@ from anisoflow.grid import (
     boundary_restriction,
     boundary_scatter,
     boundary_weights,
+    check_boundary_field,
     check_scalar_field,
     check_vector_field,
     div_blocks,
@@ -93,6 +94,15 @@ class TestFieldChecks:
         spec = make_spec()
         with pytest.raises(InvalidInputError):
             check_vector_field(np.zeros((3, 4, 4)), spec)
+
+    def test_boundary_field(self):
+        spec = make_spec()
+        n = boundary_face_count(spec)
+        assert check_boundary_field(np.ones(n), spec).shape == (n,)
+        for bad, msg in ((np.zeros(5), "shape"), (np.full(n, np.inf), "non-finite")):
+            for fn in (check_boundary_field, boundary_scatter):
+                with pytest.raises(InvalidInputError, match=msg):
+                    fn(bad, spec)
 
 
 class TestDifferences:

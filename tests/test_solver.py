@@ -5,6 +5,7 @@ import pytest
 
 from anisoflow import GridSpec, InvalidInputError
 from anisoflow.errors import InvalidStateError, NonConvergenceError
+from anisoflow.grid import boundary_face_count
 from anisoflow.solver import (
     DualState,
     SolveOptions,
@@ -28,6 +29,16 @@ DIR = GridSpec(
     exponents=(1.0, 2.0),
     boundary_mode="dirichlet_penalized",
 )
+
+
+def zero_dual(spec, v0=None):
+    return DualState(
+        v0=v0,
+        v_blocks=np.zeros((spec.ndim,) + spec.dims),
+        sigma=1.0,
+        tau=1.0,
+        theta_relax=1.0,
+    )
 
 
 class TestOptions:
@@ -109,6 +120,31 @@ class TestElliptic:
         assert rep.certificate.sup_norm_z1 <= 1.0 + 1e-9
         assert res.v0 is not None and np.max(np.abs(res.v0)) <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pytest.param(DIR, id="dir-8x8"),
+            pytest.param(NEU, id="neu-8x8"),
+            pytest.param(GridSpec((8, 8, 8), (1.0,) * 3, (1, 2), (1.0, 2.0)), id="blocks-1-2"),
+            pytest.param(GridSpec((6, 5, 4), (1.0,) * 3, (2, 1), (1.0, 2.0)), id="blocks-2-1"),
+            pytest.param(GridSpec((8, 8), (2.0, 0.5), (1, 1), (1.0, 2.0)), id="spacing-2-0.5"),
+            pytest.param(GridSpec((8, 8), (1.0, 1.0), (1, 1), (1.0, 3.0)), id="p3"),
+            pytest.param(GridSpec((64, 64), (1.0, 1.0), (1, 1), (1.0, 2.0)), id="64x64"),
+        ],
+    )
+    def test_dual_is_exact(self, spec):
+        # div z + f = 0 to roundoff, so by Gauss-Green the gap splits
+        # exactly into the pairing, Young and boundary sign slacks
+        rep = solve_elliptic(np.ones(spec.dims), spec).report
+        cert = rep.certificate
+        tol = 1e-12 * (1.0 + abs(rep.primal_value))
+        assert rep.converged
+        assert rep.divergence_residual <= tol
+        assert cert.divergence_residual <= tol
+        parts = cert.pairing_gap + sum(cert.young_terms) + cert.boundary_sign_total
+        assert parts == pytest.approx(rep.final_gap, rel=0.0, abs=tol)
+        assert rep.bracket_conjugate == pytest.approx(rep.final_gap, rel=0.0, abs=tol)
+
     def test_neumann_mode_has_no_boundary_dual(self):
         res = solve_elliptic(np.ones((8, 8)), NEU, SolveOptions(gap_tol=1e-6))
         assert res.v0 is None
@@ -135,6 +171,15 @@ class TestResolvent:
     def test_requires_positive_tau_time(self):
         with pytest.raises(InvalidInputError):
             solve_resolvent(np.zeros((8, 8)), 0.0, NEU)
+
+    def test_requires_finite_tau_time(self):
+        with pytest.raises(InvalidInputError, match="tau_time"):
+            solve_resolvent(np.ones((8, 8)), np.inf, NEU)
+
+    @pytest.mark.parametrize("v0", [np.zeros(3), np.full(boundary_face_count(DIR), np.nan)])
+    def test_v0_init_validated(self, v0):
+        with pytest.raises(InvalidInputError, match="v0_init"):
+            solve_resolvent(np.ones((8, 8)), 0.1, DIR, v0_init=v0)
 
     def test_nonexpansive_in_weighted_l2(self):
         spec = GridSpec(
@@ -181,6 +226,24 @@ class TestDualityGap:
         )
         gap = duality_gap(np.zeros((8, 8)), dual, np.zeros((8, 8)), NEU, "elliptic")
         assert gap == 0.0
+
+    @pytest.mark.parametrize("v0", [np.zeros(3), np.full(boundary_face_count(DIR), np.nan)])
+    def test_v0_validated(self, v0):
+        with pytest.raises(InvalidInputError, match="v0"):
+            duality_gap(np.zeros((8, 8)), zero_dual(DIR, v0), np.ones((8, 8)), DIR, "elliptic")
+
+    @pytest.mark.parametrize("tau_time", [0.0, -1.0, np.inf])
+    def test_resolvent_tau_time_validated(self, tau_time):
+        with pytest.raises(InvalidInputError, match="tau_time"):
+            duality_gap(
+                np.zeros((8, 8)), zero_dual(NEU), np.ones((8, 8)), NEU, "resolvent",
+                tau_time=tau_time,
+            )
+
+    def test_pure_linear_growth_grid_rejected(self):
+        spec = GridSpec((6,), (1.0,), (1,), (1.0,), boundary_mode="neumann_block1")
+        with pytest.raises(InvalidInputError):
+            duality_gap(np.zeros(6), zero_dual(spec), np.ones(6), spec, "elliptic")
 
     def test_unknown_problem_kind_rejected(self):
         dual = DualState(
