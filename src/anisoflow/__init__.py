@@ -64,7 +64,6 @@ from .solver import (
     SolveReport,
     SolveResult,
     duality_gap,
-    estimate_opnorm,
     solve_elliptic,
     solve_resolvent,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "div_blocks",
     "duality_gap",
     "emit_report",
-    "estimate_opnorm",
     "eval_F",
     "eval_J",
     "evolve",

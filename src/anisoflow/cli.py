@@ -81,7 +81,6 @@ def _load_config(args):
         if args.seed < 0:
             raise InvalidInputError("--seed must be nonnegative")
         seed = args.seed
-        opts = dataclasses.replace(opts, seed=seed)
     if args.max_iter is not None:
         opts = dataclasses.replace(opts, max_iter=args.max_iter)
     if args.gap_tol is not None:

@@ -41,7 +41,6 @@ class BaseEstimator:
             max_iter=self.max_iter,
             gap_tol=self.gap_tol,
             tv_norm=self.tv_norm,
-            seed=self.seed,
         )
 
     def _spec(self):
@@ -58,12 +57,11 @@ class EllipticSolver(BaseEstimator):
     """
 
     def __init__(self, spec=None, max_iter=50000, gap_tol=1e-8,
-                 tv_norm="euclidean", seed=0):
+                 tv_norm="euclidean"):
         self.spec = spec
         self.max_iter = max_iter
         self.gap_tol = gap_tol
         self.tv_norm = tv_norm
-        self.seed = seed
 
     def fit(self, f):
         result = solve_elliptic(f, self._spec(), self._options())
@@ -83,13 +81,12 @@ class ResolventStep(BaseEstimator):
     """
 
     def __init__(self, spec=None, tau_time=1.0, max_iter=50000, gap_tol=1e-8,
-                 tv_norm="euclidean", seed=0):
+                 tv_norm="euclidean"):
         self.spec = spec
         self.tau_time = tau_time
         self.max_iter = max_iter
         self.gap_tol = gap_tol
         self.tv_norm = tv_norm
-        self.seed = seed
 
     def fit(self, g):
         result = solve_resolvent(g, self.tau_time, self._spec(), self._options())
@@ -113,7 +110,7 @@ class GradientFlow(BaseEstimator):
 
     def __init__(self, spec=None, tau_time=1.0, n_steps=1, stride=1,
                  warm_start=False, max_iter=50000, gap_tol=1e-8,
-                 tv_norm="euclidean", seed=0):
+                 tv_norm="euclidean"):
         self.spec = spec
         self.tau_time = tau_time
         self.n_steps = n_steps
@@ -122,7 +119,6 @@ class GradientFlow(BaseEstimator):
         self.max_iter = max_iter
         self.gap_tol = gap_tol
         self.tv_norm = tv_norm
-        self.seed = seed
 
     def fit(self, u0):
         self.trajectory_ = evolve(

@@ -158,7 +158,6 @@ def parse_config(text: str) -> RunConfig:
         residual_check_every=take("solver", "residual_check_every", int, 50),
         theta_relax=take("solver", "theta_relax", float, 1.0),
         tv_norm=take("solver", "tv_norm", str, "euclidean"),
-        seed=take("solver", "seed", int, 0),
     )
     try:
         opts = SolveOptions(**opt_kwargs)
@@ -172,7 +171,7 @@ def parse_config(text: str) -> RunConfig:
     n_steps = take("solver", "n_steps", int, 1)
     if n_steps < 1:
         errors.append((lines_of.get(("solver", "n_steps"), 0), "n_steps must be at least 1"))
-    seed = opt_kwargs["seed"]
+    seed = take("solver", "seed", int, 0)
     if isinstance(seed, int) and seed < 0:
         errors.append((lines_of.get(("solver", "seed"), 0), "seed must be nonnegative"))
 

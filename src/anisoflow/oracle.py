@@ -14,6 +14,7 @@ is validated against, so it shares no iteration machinery with it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .energy import eval_F, eval_J
 from .errors import InvalidInputError, NumericalFailureError
 from .grid import (
     GridSpec,
+    _power_blocks,
     boundary_restriction,
     boundary_scatter,
     boundary_weights,
@@ -75,10 +77,7 @@ def _value_and_grad(u, spec: GridSpec, eps: float, kind: str, data, tau_time: fl
     val = float(np.sum(m1 - eps)) * vol
     s[:n1] = g[:n1] / m1
 
-    for blk in range(2, spec.n_blocks + 1):
-        axes = spec.block_axes(blk)
-        sl = slice(axes[0], axes[-1] + 1)
-        p = spec.exponents[blk - 1]
+    for sl, p, _q in _power_blocks(spec):
         sq = np.sum(g[sl] * g[sl], axis=0)
         if p >= 2.0:
             m = np.sqrt(sq)
@@ -197,8 +196,8 @@ def oracle_minimize(problem_kind: str, data, spec: GridSpec,
         raise InvalidInputError(
             f"oracle is limited to grids of at most {_MAX_CELLS} cells"
         )
-    if tau_time <= 0:
-        raise InvalidInputError("tau_time must be positive")
+    if not (tau_time > 0 and math.isfinite(tau_time)):
+        raise InvalidInputError(f"tau_time must be positive and finite, got {tau_time}")
     opts = opts or OracleOptions()
     data = check_scalar_field(data, spec, name="data")
     u = np.zeros(spec.dims)

@@ -15,16 +15,12 @@ from .errors import InvalidInputError, NumericalFailureError
 
 @dataclass(frozen=True)
 class ProxParams:
-    """Step sizes and scalar-solve tolerances for the prox kernels."""
+    """Scalar-solve tolerances for the power prox."""
 
-    sigma: float = 1.0
-    tau: float = 1.0
     newton_tol: float = 1e-12
     newton_max_iter: int = 50
 
     def __post_init__(self):
-        if not (self.sigma > 0 and self.tau > 0):
-            raise InvalidInputError("sigma and tau must be positive")
         if self.newton_tol <= 0 or self.newton_max_iter < 1:
             raise InvalidInputError("newton_tol must be positive, newton_max_iter >= 1")
 

@@ -92,11 +92,11 @@ def _half_indicator(dims) -> np.ndarray:
     return g
 
 
-def _solves(seed: int, ctx: dict) -> list:
+def _solves(ctx: dict) -> list:
     """The six certified solves shared by criteria 2, 3, and 4."""
     if "solves" in ctx:
         return ctx["solves"]
-    opts = SolveOptions(seed=seed)
+    opts = SolveOptions()
     entries = []
     spec = _spec16()
     entries.append(
@@ -128,7 +128,7 @@ def _solves(seed: int, ctx: dict) -> list:
 def _criterion_2(seed: int, ctx: dict) -> CriterionResult:
     details = {}
     ok = True
-    for name, res, _oracle in _solves(seed, ctx)[:2]:
+    for name, res, _oracle in _solves(ctx)[:2]:
         rel = res.report.final_gap / (1.0 + abs(res.report.primal_value))
         details[name] = {
             "iterations": res.report.iterations,
@@ -142,7 +142,7 @@ def _criterion_2(seed: int, ctx: dict) -> CriterionResult:
 def _criterion_3(seed: int, ctx: dict) -> CriterionResult:
     details = {}
     ok = True
-    for name, res, oracle_args in _solves(seed, ctx):
+    for name, res, oracle_args in _solves(ctx):
         if oracle_args is None:
             continue
         kind, data, spec, tau_time = oracle_args
@@ -160,7 +160,7 @@ def _criterion_3(seed: int, ctx: dict) -> CriterionResult:
 def _criterion_4(seed: int, ctx: dict) -> CriterionResult:
     details = {}
     ok = True
-    for name, res, _ in _solves(seed, ctx):
+    for name, res, _ in _solves(ctx):
         cert = res.report.certificate
         scale = 1.0 + abs(res.report.primal_value)
         decomposition = (
@@ -187,7 +187,7 @@ def _criterion_4(seed: int, ctx: dict) -> CriterionResult:
 def _criterion_5(seed: int, ctx: dict) -> CriterionResult:
     rng = _rng(seed, 5)
     spec = _spec8(2.0)
-    opts = SolveOptions(gap_tol=1e-10, seed=seed)
+    opts = SolveOptions(gap_tol=1e-10)
     worst = {1: 0.0, 2: 0.0, "inf": 0.0}
     for _pair in range(20):
         u1 = 0.5 * rng.standard_normal(spec.dims)
@@ -212,7 +212,7 @@ def _criterion_6(seed: int, ctx: dict) -> CriterionResult:
     spec = _spec8(2.0)
     u0 = rng.standard_normal(spec.dims)
     tau = 0.1
-    traj = evolve(u0, spec, tau, 10, SolveOptions(seed=seed))
+    traj = evolve(u0, spec, tau, 10, SolveOptions())
     worst = -np.inf
     for n in range(10):
         fa = traj.energies[n].total
@@ -300,7 +300,7 @@ def _criterion_9(seed: int, ctx: dict) -> CriterionResult:
 def _criterion_10(seed: int, ctx: dict) -> CriterionResult:
     rng = _rng(seed, 10)
     spec = _spec8(2.0)
-    opts = SolveOptions(gap_tol=1e-12, seed=seed)
+    opts = SolveOptions(gap_tol=1e-12)
     pairs = []
     for _i in range(3):
         g = rng.standard_normal(spec.dims)

@@ -6,8 +6,10 @@ total-variation, boundary, and power terms, and G is the source term
 (elliptic) or the implicit-Euler coupling (resolvent).  The iteration is
 the relaxed primal-dual scheme: dual ascent through the conjugate
 proxes, primal descent through the G prox, extrapolation with factor
-theta_relax, and step sizes sigma = tau = 1/L with L an over-estimated
-operator norm so that sigma * tau * L^2 <= 1.
+theta_relax, and step sizes sigma = tau = 1/L, where L is 1.01 times a
+power-iteration estimate of ||A|| so that sigma * tau * ||A||^2 < 1.
+The power iteration has a fixed length and start, so L depends on the
+grid alone and no solve depends on a seed.
 
 Convergence is declared only through the certified gap: the primal
 value at the iterate minus a dual value that is a true lower bound of
@@ -29,7 +31,9 @@ faces) is the negative of the candidate's boundary dual.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -60,6 +64,8 @@ from .prox import (
 )
 
 PROBLEM_KINDS = ("elliptic", "resolvent")
+_OPNORM_ITERS = 200  # power-iteration length
+_OPNORM_SEED = 0  # seed of its random start
 
 
 @dataclass(frozen=True)
@@ -71,16 +77,14 @@ class SolveOptions:
     residual_check_every: int = 50
     theta_relax: float = 1.0
     tv_norm: str = "euclidean"
-    opnorm_iters: int = 200
-    seed: int = 0
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise InvalidInputError("max_iter must be at least 1")
-        if not self.gap_tol > 0:
-            raise InvalidInputError("gap_tol must be positive")
-        if self.residual_check_every < 1:
-            raise InvalidInputError("residual_check_every must be at least 1")
+        for name in ("max_iter", "residual_check_every"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise InvalidInputError(f"{name} must be an integer of at least 1, got {value!r}")
+        if not (self.gap_tol > 0 and math.isfinite(self.gap_tol)):
+            raise InvalidInputError(f"gap_tol must be positive and finite, got {self.gap_tol!r}")
         if not 0.0 <= self.theta_relax <= 1.0:
             raise InvalidInputError("theta_relax must lie in [0, 1]")
         if self.tv_norm not in ("euclidean", "l1"):
@@ -89,7 +93,7 @@ class SolveOptions:
 
 @dataclass
 class DualState:
-    """Conjugate-side variables (v0*, v1*, ..., vk*) and the step sizes.
+    """Conjugate-side variables (v0*, v1*, ..., vk*).
 
     ``v_blocks`` stacks one component per axis; ``v0`` lives on the
     penalized boundary faces and is absent (None) under neumann_block1.
@@ -99,9 +103,6 @@ class DualState:
 
     v0: np.ndarray | None
     v_blocks: np.ndarray
-    sigma: float
-    tau: float
-    theta_relax: float
 
 
 @dataclass
@@ -124,11 +125,9 @@ class SolveReport:
     dual_feasibility_violation: float
     bracket_conjugate: float
     bracket_source: float
-    opnorm_estimate: float
     sigma: float
     tau: float
     theta_relax: float
-    seed: int
     wall_time_s: float
     gap_history: list[tuple[int, float, float, float]] = field(default_factory=list)
     energy: EnergyBreakdown | None = None
@@ -142,40 +141,25 @@ class SolveResult(NamedTuple):
     report: SolveReport
 
 
-def estimate_opnorm(spec: GridSpec, iters: int = 200, seed: int = 0) -> float:
+@functools.cache
+def estimate_opnorm(spec: GridSpec) -> float:
     """Over-estimate of the operator norm of A by power iteration.
 
     Runs on A*A in the volume/area-weighted spaces and returns 1.01
     times the Rayleigh-quotient estimate as a safety margin, so that the
-    unit step product sigma * tau * L^2 stays at most 1.  Deterministic
-    for a fixed seed.
+    unit step product sigma * tau * L^2 stays at most 1.  With a power
+    block, as the solver requires, A is injective (the last axis is a
+    ghost-closed power axis), so no iterate vanishes.
     """
-    if iters < 10:
-        raise InvalidInputError("iters must be at least 10")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(spec.dims)
-    lam = 0.0
-    for _ in range(iters):
+    x = np.random.default_rng(_OPNORM_SEED).standard_normal(spec.dims)
+    for _ in range(_OPNORM_ITERS):
         y = _div_impl(-_grad_impl(x, spec), spec)
         if spec.has_trace_term:
             y += _scatter_impl(_restrict_impl(x, spec), spec)
         nrm = float(np.sqrt(np.vdot(y, y).real * spec.cell_volume))
-        if nrm == 0.0:
-            return 1.01  # A x = 0 for the probe; any positive step is safe
         lam = float(np.vdot(x, y).real * spec.cell_volume)
         x = y / nrm
-    return 1.01 * float(np.sqrt(max(lam, 0.0)))
-
-
-_OPNORM_CACHE: dict = {}
-
-
-def _opnorm_cached(spec: GridSpec, iters: int, seed: int) -> float:
-    # deterministic in its arguments, so memoizing is transparent
-    key = (spec, iters, seed)
-    if key not in _OPNORM_CACHE:
-        _OPNORM_CACHE[key] = estimate_opnorm(spec, iters, seed)
-    return _OPNORM_CACHE[key]
+    return 1.01 * float(np.sqrt(lam))
 
 
 class _Problem:
@@ -232,18 +216,80 @@ class _Problem:
     def dual(self, y, v0_cp):
         """Certified lower bound on the primal infimum at (y, v0_cp).
 
-        Returns (value, y, w) with w = A*(y, v0_cp).  For the elliptic
-        problem y is a restored copy satisfying w + f = 0 to roundoff.
+        Returns (value, y).  For the elliptic problem y is a restored
+        copy satisfying A*(y, v0_cp) + f = 0 to roundoff.
         """
         w = self.adjoint_paper(y, v0_cp)
         if self.kind == "elliptic":
             y = y.copy()
             y[-1] -= self.spec.spacing[-1] * np.cumsum(w + self.f, axis=-1)
-            w = self.adjoint_paper(y, v0_cp)
-            return -self.conj_power_value(y), y, w
+            return -self.conj_power_value(y), y
         gconj = float(np.vdot(w, self.g)) * self.vol
         gconj += 0.5 * self.tau_time * float(np.vdot(w, w)) * self.vol
-        return -self.conj_power_value(y) - gconj, y, w
+        return -self.conj_power_value(y) - gconj, y
+
+
+class _Tracker:
+    """The certified pair: the best primal and the best dual point seen.
+
+    Candidate points are the current iterates and the mean of the
+    iterates since the previous check: feasibility survives averaging
+    (the dual constraint sets are convex), and near degenerate flat
+    regions the mean damps the oscillation of the raw iterates.  The
+    best primal and the best dual point are chosen independently, so
+    the certified gap never increases between checks.  Each check logs
+    (iteration, gap, conjugate bracket, source bracket): the brackets
+    realize the eps-subdifferentiability of the certified pair, both
+    nonnegative up to roundoff and summing exactly to the gap.
+    """
+
+    def __init__(self, prob, u, y, v0_cp):
+        self.prob = prob
+        self.n = 0  # iterates summed since the last check
+        self.sum_u = np.zeros_like(u)
+        self.sum_y = np.zeros_like(y)
+        self.sum_v0 = None if v0_cp is None else np.zeros_like(v0_cp)
+        self.primal = None  # (breakdown, u) at the lowest primal value
+        self.dual = None  # (value, y, v0_cp) at the highest dual value
+        self.history: list[tuple[int, float, float, float]] = []
+
+    def add(self, u, y, v0_cp):
+        self.n += 1
+        self.sum_u += u
+        self.sum_y += y
+        if v0_cp is not None:
+            self.sum_v0 += v0_cp
+
+    def check(self, it, u, y, v0_cp) -> bool:
+        """Offer the iterate and the mean; True once the gap is certified."""
+        prob = self.prob
+        u_cands = [u]
+        d_cands = [(y, v0_cp)]
+        if self.n:
+            k = float(self.n)
+            u_cands.append(self.sum_u / k)
+            d_cands.append((self.sum_y / k, None if self.sum_v0 is None else self.sum_v0 / k))
+        for u_c in u_cands:
+            bd = prob.primal(u_c)
+            if self.primal is None or bd.total < self.primal[0].total:
+                self.primal = (bd, u_c)
+        for y_c, v0_c in d_cands:
+            value, y_c = prob.dual(y_c, v0_c)
+            if self.dual is None or value > self.dual[0]:
+                # the iteration updates y in place
+                self.dual = (value, y_c.copy(), v0_c)
+        bd, u_w = self.primal
+        value, y_w, v0_w = self.dual
+        gap = bd.total - value
+        flux = None if v0_w is None else -v0_w
+        be = cert._gap_terms(u_w, y_w, flux, prob.spec, prob.opts.tv_norm).total
+        self.history.append((it, float(gap), float(be), float(gap - be)))
+        self.n = 0
+        self.sum_u.fill(0.0)
+        self.sum_y.fill(0.0)
+        if self.sum_v0 is not None:
+            self.sum_v0.fill(0.0)
+        return gap <= prob.opts.gap_tol * (1.0 + abs(bd.total))
 
 
 def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=None):
@@ -251,7 +297,7 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
     data = check_scalar_field(data, spec, name="f" if kind == "elliptic" else "g")
     prob = _Problem(kind, data, spec, tau_time, opts)
 
-    L = _opnorm_cached(spec, opts.opnorm_iters, opts.seed)
+    L = estimate_opnorm(spec)
     sigma = tau = 1.0 / L
     theta = opts.theta_relax
 
@@ -266,80 +312,9 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
         v0_cp = None
     ubar = u.copy()
 
-    history: list[tuple[int, float, float, float]] = []
-    best_gap = np.inf
-    u_out, y_out, v0_out = u, y, v0_cp
-    acc = {
-        "n": 0,
-        "u": np.zeros_like(u),
-        "y": np.zeros_like(y),
-        "v0": None if v0_cp is None else np.zeros_like(v0_cp),
-    }
-
-    def acc_add(u_c, y_c, v0_c):
-        acc["n"] += 1
-        acc["u"] += u_c
-        acc["y"] += y_c
-        if v0_c is not None:
-            acc["v0"] += v0_c
-
-    prim_best = None  # (breakdown, u) at the lowest primal value seen
-    dual_best = None  # (value, y, v0, w) at the highest dual value seen
-
-    def check(it):
-        # Candidate points are the current iterates and the mean of the
-        # iterates since the previous check: feasibility survives
-        # averaging (the dual constraint sets are convex), and near
-        # degenerate flat regions the mean damps the oscillation of the
-        # raw iterates.  The certified pair is the best primal point and
-        # the best dual point seen so far, chosen independently, so the
-        # reported gap never increases between checks.  Also logs the
-        # two optimality brackets so each history entry realizes the
-        # eps-subdifferentiability of the certified pair: both are
-        # nonnegative up to roundoff and sum exactly to the gap.
-        nonlocal best_gap, u_out, y_out, v0_out, prim_best, dual_best
-        u_cands = [u]
-        d_cands = [(y, v0_cp)]
-        if acc["n"]:
-            k = float(acc["n"])
-            u_cands.append(acc["u"] / k)
-            d_cands.append((acc["y"] / k, None if acc["v0"] is None else acc["v0"] / k))
-        for u_c in u_cands:
-            bd_c = prob.primal(u_c)
-            if prim_best is None or bd_c.total < prim_best[0].total:
-                prim_best = (bd_c, u_c.copy())
-        for y_c, v0_c in d_cands:
-            dual_c, y_c, w_c = prob.dual(y_c, v0_c)
-            if dual_best is None or dual_c > dual_best[0]:
-                dual_best = (
-                    dual_c,
-                    y_c.copy(),
-                    None if v0_c is None else v0_c.copy(),
-                    w_c.copy(),
-                )
-        bd, u_w = prim_best
-        dual_value, y_w, v0_w, w_w = dual_best
-        gap = bd.total - dual_value
-        if kind == "resolvent":
-            rr = u_w - prob.g - prob.tau_time * w_w
-        else:
-            rr = w_w + prob.f
-        rn = float(np.sqrt(np.vdot(rr, rr).real * prob.vol))
-        flux = None if v0_w is None else -v0_w
-        be = cert._gap_terms(u_w, y_w, flux, spec, opts.tv_norm).total
-        u_out, y_out, v0_out = u_w, y_w, v0_w
-        best_gap = min(best_gap, gap)
-        history.append((it, float(gap), float(be), float(gap - be)))
-        acc["n"] = 0
-        acc["u"].fill(0.0)
-        acc["y"].fill(0.0)
-        if acc["v0"] is not None:
-            acc["v0"].fill(0.0)
-        return bd, dual_value, gap, rn, be
-
+    track = _Tracker(prob, u, y, v0_cp)
     it = 0
-    bd, dual_value, gap, rn, bracket_e = check(0)
-    converged = gap <= opts.gap_tol * (1.0 + abs(bd.total))
+    converged = track.check(0, u, y, v0_cp)
     while not converged and it < opts.max_iter:
         it += 1
         grads_bar = _grad_impl(ubar, spec)
@@ -361,12 +336,15 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
         else:
             u = prox_primal_quadratic(u - tau * w_cp, tau, prob.g, prob.tau_time)
         ubar = u + theta * (u - u_old)
-        acc_add(u, y, v0_cp)
+        track.add(u, y, v0_cp)
         if it % opts.residual_check_every == 0 or it == opts.max_iter:
-            bd, dual_value, gap, rn, bracket_e = check(it)
-            converged = gap <= opts.gap_tol * (1.0 + abs(bd.total))
+            converged = track.check(it, u, y, v0_cp)
 
-    z = y_out
+    bd, u_out = track.primal
+    dual_value, z, v0_out = track.dual
+    _, gap, bracket_e, bracket_s = track.history[-1]
+    w = prob.adjoint_paper(z, v0_out)
+    rr = w + prob.f if kind == "elliptic" else u_out - prob.g - prob.tau_time * w
     v0_trace = None if v0_out is None else -v0_out
     rhs = prob.f if kind == "elliptic" else (prob.g - u_out) / prob.tau_time
     certificate = cert.check_weak_solution(
@@ -376,7 +354,7 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
         spec,
         mode="elliptic" if kind == "elliptic" else "parabolic",
         boundary_trace=v0_trace,
-        gap=float(gap),
+        gap=gap,
         tv_norm=opts.tv_norm,
     )
     report = SolveReport(
@@ -385,18 +363,16 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
         converged=bool(converged),
         primal_value=float(bd.total),
         dual_value=float(dual_value),
-        final_gap=float(gap),
-        divergence_residual=float(rn),
-        dual_feasibility_violation=_feasibility_violation(y_out, v0_out, prob),
-        bracket_conjugate=float(bracket_e),
-        bracket_source=float(gap - bracket_e),
-        opnorm_estimate=float(L),
+        final_gap=gap,
+        divergence_residual=float(np.sqrt(np.vdot(rr, rr).real * prob.vol)),
+        dual_feasibility_violation=_feasibility_violation(z, v0_out, prob),
+        bracket_conjugate=bracket_e,
+        bracket_source=bracket_s,
         sigma=float(sigma),
         tau=float(tau),
         theta_relax=float(theta),
-        seed=opts.seed,
         wall_time_s=time.perf_counter() - t0,
-        gap_history=history,
+        gap_history=track.history,
         energy=bd,
         certificate=certificate,
     )

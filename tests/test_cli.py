@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from anisoflow import cli
 from anisoflow.cli import main
 from anisoflow.io import read_field, write_field
 
@@ -62,7 +63,12 @@ class TestSolveCommands:
         report = json.loads((out / "report.json").read_text())
         assert report["report"]["problem"] == "resolvent"
 
-    def test_overrides_reach_the_solver(self, tmp_path):
+    def test_overrides_reach_the_solver(self, tmp_path, monkeypatch):
+        seen = []
+        solve = cli.solve_elliptic
+        monkeypatch.setattr(
+            cli, "solve_elliptic", lambda f, spec, opts: seen.append(opts) or solve(f, spec, opts)
+        )
         cfg = _write_config(tmp_path)
         out = tmp_path / "out"
         rc = main(
@@ -81,7 +87,7 @@ class TestSolveCommands:
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert report["seed"] == 5
-        assert report["report"]["seed"] == 5
+        assert [opts.gap_tol for opts in seen] == [1e-6]
 
     def test_shape_mismatch_is_invalid_input(self, tmp_path, capsys):
         write_field(tmp_path / "f.anzf", np.zeros((4, 4)), (0.5, 0.5))

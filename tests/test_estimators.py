@@ -22,7 +22,7 @@ class TestParams:
         params = est.get_params()
         assert params["spec"] is SPEC
         assert params["gap_tol"] == 1e-6
-        assert set(params) == {"spec", "max_iter", "gap_tol", "tv_norm", "seed"}
+        assert set(params) == {"spec", "max_iter", "gap_tol", "tv_norm"}
 
     def test_set_params_round_trip(self):
         est = ResolventStep()

@@ -119,6 +119,11 @@ class TestMinimize:
         with pytest.raises(InvalidInputError):
             oracle_minimize("resolvent", np.zeros((6, 6)), NEU, tau_time=0.0)
 
+    @pytest.mark.parametrize("tau_time", [np.nan, np.inf])
+    def test_tau_time_must_be_finite(self, tau_time):
+        with pytest.raises(InvalidInputError, match="tau_time must be positive and finite"):
+            oracle_minimize("resolvent", np.ones((6, 6)), NEU, tau_time=tau_time)
+
     def test_large_grids_rejected(self):
         big = GridSpec(
             dims=(17, 17),

@@ -32,13 +32,7 @@ DIR = GridSpec(
 
 
 def zero_dual(spec, v0=None):
-    return DualState(
-        v0=v0,
-        v_blocks=np.zeros((spec.ndim,) + spec.dims),
-        sigma=1.0,
-        tau=1.0,
-        theta_relax=1.0,
-    )
+    return DualState(v0=v0, v_blocks=np.zeros((spec.ndim,) + spec.dims))
 
 
 class TestOptions:
@@ -55,6 +49,10 @@ class TestOptions:
             {"residual_check_every": 0},
             {"theta_relax": 1.5},
             {"tv_norm": "chebyshev"},
+            {"gap_tol": np.inf},
+            {"max_iter": 2.5},
+            {"max_iter": np.inf},
+            {"residual_check_every": 2.5},
         ],
     )
     def test_bad_options_rejected(self, kw):
@@ -64,7 +62,7 @@ class TestOptions:
 
 class TestOpnorm:
     def test_reference_value(self):
-        assert estimate_opnorm(NEU, 200, 0) == pytest.approx(2.804947212038511, rel=1e-12)
+        assert estimate_opnorm(NEU) == pytest.approx(2.804947212038511, rel=1e-12)
 
     def test_scales_inversely_with_spacing(self):
         half = GridSpec(
@@ -74,20 +72,13 @@ class TestOpnorm:
             exponents=(1.0, 2.0),
             boundary_mode="neumann_block1",
         )
-        assert estimate_opnorm(half, 200, 0) == pytest.approx(
-            0.5 * estimate_opnorm(NEU, 200, 0), rel=1e-12
+        assert estimate_opnorm(half) == pytest.approx(
+            0.5 * estimate_opnorm(NEU), rel=1e-12
         )
 
     def test_penalized_mode_is_larger(self):
         # the extra boundary rows can only increase the norm
-        assert estimate_opnorm(DIR, 200, 0) > estimate_opnorm(NEU, 200, 0)
-
-    def test_deterministic_in_seed(self):
-        assert estimate_opnorm(NEU, 50, 3) == estimate_opnorm(NEU, 50, 3)
-
-    def test_iteration_floor(self):
-        with pytest.raises(InvalidInputError):
-            estimate_opnorm(NEU, 9, 0)
+        assert estimate_opnorm(DIR) > estimate_opnorm(NEU)
 
 
 class TestElliptic:
@@ -216,14 +207,12 @@ class TestResolvent:
 class TestDualityGap:
     def test_infeasible_dual_rejected(self):
         y = np.full((2, 8, 8), 5.0)
-        dual = DualState(v0=None, v_blocks=y, sigma=1.0, tau=1.0, theta_relax=1.0)
+        dual = DualState(v0=None, v_blocks=y)
         with pytest.raises(InvalidStateError):
             duality_gap(np.zeros((8, 8)), dual, np.ones((8, 8)), NEU, "elliptic")
 
     def test_zero_pair_closes_zero_problem(self):
-        dual = DualState(
-            v0=None, v_blocks=np.zeros((2, 8, 8)), sigma=1.0, tau=1.0, theta_relax=1.0
-        )
+        dual = DualState(v0=None, v_blocks=np.zeros((2, 8, 8)))
         gap = duality_gap(np.zeros((8, 8)), dual, np.zeros((8, 8)), NEU, "elliptic")
         assert gap == 0.0
 
@@ -246,9 +235,7 @@ class TestDualityGap:
             duality_gap(np.zeros(6), zero_dual(spec), np.ones(6), spec, "elliptic")
 
     def test_unknown_problem_kind_rejected(self):
-        dual = DualState(
-            v0=None, v_blocks=np.zeros((2, 8, 8)), sigma=1.0, tau=1.0, theta_relax=1.0
-        )
+        dual = DualState(v0=None, v_blocks=np.zeros((2, 8, 8)))
         with pytest.raises(InvalidInputError):
             duality_gap(np.zeros((8, 8)), dual, np.zeros((8, 8)), NEU, "parabolic")
 
@@ -256,12 +243,6 @@ class TestDualityGap:
         # the conjugate-side field is -z, the flux with its sign flipped
         opts = SolveOptions(gap_tol=1e-9)
         res = solve_elliptic(np.ones((8, 8)), NEU, opts)
-        dual = DualState(
-            v0=None,
-            v_blocks=-res.z,
-            sigma=res.report.sigma,
-            tau=res.report.tau,
-            theta_relax=1.0,
-        )
+        dual = DualState(v0=None, v_blocks=-res.z)
         gap = duality_gap(res.u, dual, np.ones((8, 8)), NEU, "elliptic")
         assert gap == pytest.approx(res.report.final_gap, rel=1e-9, abs=1e-13)
