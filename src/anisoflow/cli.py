@@ -193,8 +193,11 @@ def _cmd_check(args):
         raise InvalidInputError(
             f"z field has shape {z_values.shape}, expected {(spec.ndim,) + spec.dims}"
         )
+    v0 = None if config.v0_input_path is None else read_field(config.v0_input_path)[0]
     rhs = _load_scalar(config.rhs_input_path, spec, "rhs")
-    cert = check_weak_solution(u, z_values, rhs, spec, mode=config.check_mode)
+    cert = check_weak_solution(
+        u, z_values, rhs, spec, mode=config.check_mode, boundary_trace=v0, tv_norm=opts.tv_norm
+    )
     emit_report(
         None,
         cert,

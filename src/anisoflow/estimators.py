@@ -53,7 +53,7 @@ class EllipticSolver(BaseEstimator):
     """Solves the source-driven problem for a fixed grid description.
 
     After ``fit(f)``: ``u_`` (solution), ``z_`` (dual field), ``v0_``
-    (boundary dual or None), ``report_``, ``certificate_``.
+    (boundary flux or None), ``report_``, ``certificate_``.
     """
 
     def __init__(self, spec=None, max_iter=50000, gap_tol=1e-8,

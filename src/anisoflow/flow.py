@@ -11,6 +11,7 @@ exactly, because u_prev is feasible for the step objective.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,10 +62,9 @@ def evolve(
     then differ from single-step runs).  Solver failure is re-raised
     with the failing step index attached.
     """
-    if n_steps < 1:
-        raise InvalidInputError("n_steps must be at least 1")
-    if stride < 1:
-        raise InvalidInputError("stride must be at least 1")
+    for name, value in (("n_steps", n_steps), ("stride", stride)):
+        if not (isinstance(value, numbers.Integral) and value >= 1):
+            raise InvalidInputError(f"{name} must be an integer of at least 1, got {value!r}")
     opts = opts or SolveOptions()
     state = check_scalar_field(u0, spec).copy()
     traj = Trajectory()
@@ -89,8 +89,7 @@ def evolve(
             ) from e
         state = res.u
         if warm_start:
-            y_seed = res.z
-            v0_seed = None if res.v0 is None else -res.v0
+            y_seed, v0_seed = res.z, res.v0
         traj.step_gaps.append(res.report.final_gap)
         traj.certificates.append(res.report.certificate)
         if k % stride == 0 or k == n_steps:

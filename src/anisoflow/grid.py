@@ -380,11 +380,6 @@ def inner(u, w, spec: GridSpec) -> float:
     return float(np.vdot(u, w)) * spec.cell_volume
 
 
-def boundary_inner(v, w, spec: GridSpec) -> float:
-    """Face-area-weighted inner product of two boundary fields."""
-    return float(np.sum(boundary_weights(spec) * np.asarray(v) * np.asarray(w)))
-
-
 def lp_norm(u, p: float, spec: GridSpec) -> float:
     """Weighted l^p norm ``(sum |u|^p * cell_volume)^(1/p)``; p=inf is the max."""
     u = np.asarray(u)

@@ -40,13 +40,12 @@ _SOLVER_KEYS = (
     "max_iter",
     "gap_tol",
     "residual_check_every",
-    "theta_relax",
     "tv_norm",
     "tau_time",
     "n_steps",
     "seed",
 )
-_IO_KEYS = ("input", "z_input", "rhs_input", "check_mode")
+_IO_KEYS = ("input", "z_input", "v0_input", "rhs_input", "check_mode")
 
 
 @dataclass(frozen=True)
@@ -61,6 +60,7 @@ class RunConfig:
     seed: int
     input_path: str | None
     z_input_path: str | None
+    v0_input_path: str | None
     rhs_input_path: str | None
     check_mode: str
     raw_text: str
@@ -156,7 +156,6 @@ def parse_config(text: str) -> RunConfig:
         max_iter=take("solver", "max_iter", int, 50000),
         gap_tol=take("solver", "gap_tol", float, 1e-8),
         residual_check_every=take("solver", "residual_check_every", int, 50),
-        theta_relax=take("solver", "theta_relax", float, 1.0),
         tv_norm=take("solver", "tv_norm", str, "euclidean"),
     )
     try:
@@ -197,6 +196,7 @@ def parse_config(text: str) -> RunConfig:
         seed=seed,
         input_path=values.get(("io", "input")),
         z_input_path=values.get(("io", "z_input")),
+        v0_input_path=values.get(("io", "v0_input")),
         rhs_input_path=values.get(("io", "rhs_input")),
         check_mode=check_mode,
         raw_text=text,

@@ -4,10 +4,10 @@ Both problems minimize E(Au) + G(u) where A stacks the boundary trace
 (dirichlet_penalized only) and the blockwise gradients, E couples the
 total-variation, boundary, and power terms, and G is the source term
 (elliptic) or the implicit-Euler coupling (resolvent).  The iteration is
-the relaxed primal-dual scheme: dual ascent through the conjugate
-proxes, primal descent through the G prox, extrapolation with factor
-theta_relax, and step sizes sigma = tau = 1/L, where L is 1.01 times a
-power-iteration estimate of ||A|| so that sigma * tau * ||A||^2 < 1.
+the primal-dual scheme of Chambolle and Pock: dual ascent through the
+conjugate proxes, primal descent through the G prox, extrapolation with
+factor 1, and one step size sigma = 1/L for both, where L is 1.01 times
+a power-iteration estimate of ||A|| so that sigma^2 * ||A||^2 < 1.
 The power iteration has a fixed length and start, so L depends on the
 grid alone and no solve depends on a seed.
 
@@ -22,11 +22,9 @@ power block: its ghost-closed divergence is lower bidiagonal, so a
 cumulative sum inverts it, and power components carry no dual bound,
 so the unit bounds on the block-1 part and on v0 are untouched.
 
-Sign conventions: the conjugate-side multiplier is the negative of the
-iterated dual variable, so the returned vector field z is the certified
-dual candidate itself (restored, for the elliptic problem), and the
-returned boundary field v0 (the weak normal flux on the penalized
-faces) is the negative of the candidate's boundary dual.
+The iterated dual pair (z, v0) is the one returned: z the vector field
+and v0 the weak normal flux on the penalized faces, with A*(z, v0) =
+div z + scatter(v0).
 """
 
 from __future__ import annotations
@@ -75,7 +73,6 @@ class SolveOptions:
     max_iter: int = 50000
     gap_tol: float = 1e-8
     residual_check_every: int = 50
-    theta_relax: float = 1.0
     tv_norm: str = "euclidean"
 
     def __post_init__(self):
@@ -85,20 +82,18 @@ class SolveOptions:
                 raise InvalidInputError(f"{name} must be an integer of at least 1, got {value!r}")
         if not (self.gap_tol > 0 and math.isfinite(self.gap_tol)):
             raise InvalidInputError(f"gap_tol must be positive and finite, got {self.gap_tol!r}")
-        if not 0.0 <= self.theta_relax <= 1.0:
-            raise InvalidInputError("theta_relax must lie in [0, 1]")
         if self.tv_norm not in ("euclidean", "l1"):
             raise InvalidInputError(f"unknown tv_norm {self.tv_norm!r}")
 
 
 @dataclass
 class DualState:
-    """Conjugate-side variables (v0*, v1*, ..., vk*).
+    """A dual point for :func:`duality_gap`.
 
-    ``v_blocks`` stacks one component per axis; ``v0`` lives on the
-    penalized boundary faces and is absent (None) under neumann_block1.
-    Feasibility: per-cell dual norm of the block-1 part and |v0| both
-    at most 1.
+    ``v0`` is the boundary flux as solves return it, on the penalized
+    faces, and absent (None) under neumann_block1.  ``v_blocks`` is -z,
+    one component per axis, for a solve's vector field z.  Feasibility:
+    per-cell dual norm of the block-1 part and |v0| both at most 1.
     """
 
     v0: np.ndarray | None
@@ -109,10 +104,9 @@ class DualState:
 class SolveReport:
     """Certified outcome of a solve.
 
-    ``divergence_residual`` is the volume-weighted l2 norm of div z + f
-    (elliptic: roundoff, the dual being restored exactly) or of
-    u - g - tau_time * div z (resolvent: shrinks with the gap), with div
-    including the boundary flux v0.
+    ``sigma`` is the step size.  ``gap_history`` logs each check as
+    (iteration, gap, conjugate bracket, source bracket).  The residuals
+    of the returned pair live in ``certificate`` alone.
     """
 
     problem: str
@@ -121,13 +115,7 @@ class SolveReport:
     primal_value: float
     dual_value: float
     final_gap: float
-    divergence_residual: float
-    dual_feasibility_violation: float
-    bracket_conjugate: float
-    bracket_source: float
     sigma: float
-    tau: float
-    theta_relax: float
     wall_time_s: float
     gap_history: list[tuple[int, float, float, float]] = field(default_factory=list)
     energy: EnergyBreakdown | None = None
@@ -206,20 +194,20 @@ class _Problem:
             val += float(np.sum(mags**q)) * self.vol / q
         return val
 
-    def adjoint_paper(self, y, v0_cp):
-        """A* applied to the conjugate-side variable: the full divergence."""
+    def adjoint(self, y, v0):
+        """A*(y, v0): the divergence of y with the boundary flux v0."""
         w = _div_impl(y, self.spec)
         if self.trace:
-            w -= _scatter_impl(v0_cp, self.spec)
+            w += _scatter_impl(v0, self.spec)
         return w
 
-    def dual(self, y, v0_cp):
-        """Certified lower bound on the primal infimum at (y, v0_cp).
+    def dual(self, y, v0):
+        """Certified lower bound on the primal infimum at (y, v0).
 
         Returns (value, y).  For the elliptic problem y is a restored
-        copy satisfying A*(y, v0_cp) + f = 0 to roundoff.
+        copy satisfying A*(y, v0) + f = 0 to roundoff.
         """
-        w = self.adjoint_paper(y, v0_cp)
+        w = self.adjoint(y, v0)
         if self.kind == "elliptic":
             y = y.copy()
             y[-1] -= self.spec.spacing[-1] * np.cumsum(w + self.f, axis=-1)
@@ -243,28 +231,28 @@ class _Tracker:
     nonnegative up to roundoff and summing exactly to the gap.
     """
 
-    def __init__(self, prob, u, y, v0_cp):
+    def __init__(self, prob, u, y, v0):
         self.prob = prob
         self.n = 0  # iterates summed since the last check
         self.sum_u = np.zeros_like(u)
         self.sum_y = np.zeros_like(y)
-        self.sum_v0 = None if v0_cp is None else np.zeros_like(v0_cp)
+        self.sum_v0 = None if v0 is None else np.zeros_like(v0)
         self.primal = None  # (breakdown, u) at the lowest primal value
-        self.dual = None  # (value, y, v0_cp) at the highest dual value
+        self.dual = None  # (value, y, v0) at the highest dual value
         self.history: list[tuple[int, float, float, float]] = []
 
-    def add(self, u, y, v0_cp):
+    def add(self, u, y, v0):
         self.n += 1
         self.sum_u += u
         self.sum_y += y
-        if v0_cp is not None:
-            self.sum_v0 += v0_cp
+        if v0 is not None:
+            self.sum_v0 += v0
 
-    def check(self, it, u, y, v0_cp) -> bool:
+    def check(self, it, u, y, v0) -> bool:
         """Offer the iterate and the mean; True once the gap is certified."""
         prob = self.prob
         u_cands = [u]
-        d_cands = [(y, v0_cp)]
+        d_cands = [(y, v0)]
         if self.n:
             k = float(self.n)
             u_cands.append(self.sum_u / k)
@@ -281,8 +269,7 @@ class _Tracker:
         bd, u_w = self.primal
         value, y_w, v0_w = self.dual
         gap = bd.total - value
-        flux = None if v0_w is None else -v0_w
-        be = cert._gap_terms(u_w, y_w, flux, prob.spec, prob.opts.tv_norm).total
+        be = cert._gap_terms(u_w, y_w, v0_w, prob.spec, prob.opts.tv_norm).total
         self.history.append((it, float(gap), float(be), float(gap - be)))
         self.n = 0
         self.sum_u.fill(0.0)
@@ -297,29 +284,27 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
     data = check_scalar_field(data, spec, name="f" if kind == "elliptic" else "g")
     prob = _Problem(kind, data, spec, tau_time, opts)
 
-    L = estimate_opnorm(spec)
-    sigma = tau = 1.0 / L
-    theta = opts.theta_relax
+    sigma = 1.0 / estimate_opnorm(spec)
 
     u = np.zeros(spec.dims) if u_init is None else check_scalar_field(u_init, spec).copy()
     y = np.zeros((spec.ndim,) + spec.dims) if y_init is None else check_vector_field(y_init, spec).copy()
     if prob.trace:
         if v0_init is None:
-            v0_cp = np.zeros(boundary_face_count(spec))
+            v0 = np.zeros(boundary_face_count(spec))
         else:
-            v0_cp = check_boundary_field(v0_init, spec, name="v0_init").copy()
+            v0 = check_boundary_field(v0_init, spec, name="v0_init").copy()
     else:
-        v0_cp = None
+        v0 = None
     ubar = u.copy()
 
-    track = _Tracker(prob, u, y, v0_cp)
+    track = _Tracker(prob, u, y, v0)
     it = 0
-    converged = track.check(0, u, y, v0_cp)
+    converged = track.check(0, u, y, v0)
     while not converged and it < opts.max_iter:
         it += 1
         grads_bar = _grad_impl(ubar, spec)
         if prob.trace:
-            v0_cp = project_interval(v0_cp + sigma * _restrict_impl(ubar, spec))
+            v0 = project_interval(v0 - sigma * _restrict_impl(ubar, spec))
         y1 = y[: prob.n1] + sigma * grads_bar[: prob.n1]
         if opts.tv_norm == "euclidean":
             y[: prob.n1] = project_ball(y1)
@@ -327,25 +312,20 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
             y[: prob.n1] = project_interval(y1)
         for sl, _p, q in prob.power:
             y[sl] = prox_power_conj_radial(y[sl] + sigma * grads_bar[sl], sigma, q)
-        w_cp = -_div_impl(y, spec)
-        if prob.trace:
-            w_cp += _scatter_impl(v0_cp, spec)
+        w = prob.adjoint(y, v0)
         u_old = u
         if kind == "elliptic":
-            u = prox_primal_linear(u - tau * w_cp, tau, prob.f)
+            u = prox_primal_linear(u + sigma * w, sigma, prob.f)
         else:
-            u = prox_primal_quadratic(u - tau * w_cp, tau, prob.g, prob.tau_time)
-        ubar = u + theta * (u - u_old)
-        track.add(u, y, v0_cp)
+            u = prox_primal_quadratic(u + sigma * w, sigma, prob.g, prob.tau_time)
+        ubar = u + (u - u_old)
+        track.add(u, y, v0)
         if it % opts.residual_check_every == 0 or it == opts.max_iter:
-            converged = track.check(it, u, y, v0_cp)
+            converged = track.check(it, u, y, v0)
 
     bd, u_out = track.primal
-    dual_value, z, v0_out = track.dual
-    _, gap, bracket_e, bracket_s = track.history[-1]
-    w = prob.adjoint_paper(z, v0_out)
-    rr = w + prob.f if kind == "elliptic" else u_out - prob.g - prob.tau_time * w
-    v0_trace = None if v0_out is None else -v0_out
+    dual_value, z, v0 = track.dual
+    gap = track.history[-1][1]
     rhs = prob.f if kind == "elliptic" else (prob.g - u_out) / prob.tau_time
     certificate = cert.check_weak_solution(
         u_out,
@@ -353,7 +333,7 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
         rhs,
         spec,
         mode="elliptic" if kind == "elliptic" else "parabolic",
-        boundary_trace=v0_trace,
+        boundary_trace=v0,
         gap=gap,
         tv_norm=opts.tv_norm,
     )
@@ -364,13 +344,7 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
         primal_value=float(bd.total),
         dual_value=float(dual_value),
         final_gap=gap,
-        divergence_residual=float(np.sqrt(np.vdot(rr, rr).real * prob.vol)),
-        dual_feasibility_violation=_feasibility_violation(z, v0_out, prob),
-        bracket_conjugate=bracket_e,
-        bracket_source=bracket_s,
         sigma=float(sigma),
-        tau=float(tau),
-        theta_relax=float(theta),
         wall_time_s=time.perf_counter() - t0,
         gap_history=track.history,
         energy=bd,
@@ -382,14 +356,7 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
             f"above tolerance {opts.gap_tol:.3e} * (1 + |primal|)",
             report=report,
         )
-    return SolveResult(u=u_out, z=z, v0=v0_trace, report=report)
-
-
-def _feasibility_violation(y, v0_cp, prob) -> float:
-    viol = max(0.0, cert._block1_sup(y[: prob.n1], prob.opts.tv_norm) - 1.0)
-    if v0_cp is not None and v0_cp.size:
-        viol = max(viol, float(np.max(np.abs(v0_cp))) - 1.0)
-    return max(0.0, viol)
+    return SolveResult(u=u_out, z=z, v0=v0, report=report)
 
 
 def solve_elliptic(f, spec: GridSpec, opts: SolveOptions | None = None) -> SolveResult:
@@ -398,8 +365,7 @@ def solve_elliptic(f, spec: GridSpec, opts: SolveOptions | None = None) -> Solve
     Returns (u, z, v0, report); z is the conjugate vector field with the
     per-cell block-1 bound ||z1|| <= 1, v0 the weak normal flux on the
     penalized faces (None under neumann_block1), and the report carries
-    the certified gap, the dual divergence residual, and the weak-
-    solution certificate.  Raises NonConvergenceError (with the report
+    the certified gap and the weak-solution certificate.  Raises NonConvergenceError (with the report
     attached) if the gap tolerance is not met within max_iter.
     """
     return _solve("elliptic", f, spec, None, opts or SolveOptions())
@@ -417,9 +383,10 @@ def solve_resolvent(
     """One implicit Euler step: minimize F(u) + ||u - g||^2 / (2 tau_time).
 
     At convergence u = g + tau_time * div z holds within the
-    gap-controlled residual reported as divergence_residual.  Optional
-    warm-start arguments seed the iteration (deterministically) with a
-    previous state.
+    gap-controlled residual the certificate reports as
+    divergence_residual.  The optional warm-start arguments take (u, z,
+    v0) as a solve returns them and seed the iteration
+    deterministically.
     """
     return _solve(
         "resolvent",
@@ -449,15 +416,17 @@ def duality_gap(u, dual: DualState, data, spec: GridSpec, problem_kind: str,
     opts = SolveOptions(tv_norm=tv_norm)
     prob = _Problem(problem_kind, data, spec, tau_time, opts)
     y = -v
-    v0_cp = None
+    v0 = None
     if prob.trace:
         if dual.v0 is None:
             raise InvalidInputError("dual state lacks v0 in dirichlet_penalized mode")
-        v0_cp = -check_boundary_field(dual.v0, spec, name="v0")
-    viol = _feasibility_violation(y, v0_cp, prob)
+        v0 = check_boundary_field(dual.v0, spec, name="v0")
+    viol = cert._block1_sup(y[: prob.n1], tv_norm) - 1.0
+    if v0 is not None and v0.size:
+        viol = max(viol, float(np.max(np.abs(v0))) - 1.0)
     if viol > 1e-9:
         raise InvalidStateError(
             f"dual state violates its unit bounds by {viol:.3e} after projection"
         )
-    gap = prob.primal(u).total - prob.dual(y, v0_cp)[0]
+    gap = prob.primal(u).total - prob.dual(y, v0)[0]
     return float(gap)

@@ -132,6 +132,39 @@ class TestCheckCommand:
         cert = json.loads((out / "certificate.json").read_text())["certificate"]
         assert cert["sup_norm_z1"] <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize(
+        "dims, blocks, tv_norm",
+        [((8, 8), "1, 1", "euclidean"), ((4, 4, 3), "2, 1", "l1")],
+        ids=["euclidean", "l1-blocks-2-1"],
+    )
+    def test_reproduces_the_solver_certificate(self, tmp_path, dims, blocks, tv_norm):
+        # with the returned boundary flux and the solve's tv_norm, check
+        # recomputes the certificate the solver reported, bar the gap
+        head = (
+            f"[grid]\ndims = {', '.join(map(str, dims))}\nblocks = {blocks}\n"
+            "exponents = 1.0, 2.0\nboundary_mode = dirichlet_penalized\n"
+            f"\n[solver]\ntv_norm = {tv_norm}\n"
+        )
+        rng = np.random.default_rng(72)
+        write_field(tmp_path / "f.anzf", rng.standard_normal(dims), (1.0,) * len(dims))
+        solve_cfg = tmp_path / "solve.cfg"
+        solve_cfg.write_text(head + f"problem = elliptic\n\n[io]\ninput = {tmp_path}/f.anzf\n")
+        sol = tmp_path / "sol"
+        assert main(["solve-elliptic", "--config", str(solve_cfg), "--out", str(sol)]) == 0
+        check_cfg = tmp_path / "check.cfg"
+        check_cfg.write_text(
+            head
+            + "problem = check\n\n[io]\n"
+            + f"input = {sol}/u.anzf\nz_input = {sol}/z.anzf\nv0_input = {sol}/v0.anzf\n"
+            + f"rhs_input = {tmp_path}/f.anzf\n"
+        )
+        out = tmp_path / "chk"
+        assert main(["check", "--config", str(check_cfg), "--out", str(out)]) == 0
+        solved = json.loads((sol / "report.json").read_text())["certificate"]
+        checked = json.loads((out / "certificate.json").read_text())["certificate"]
+        assert solved.keys() == checked.keys()
+        assert {k for k in solved if solved[k] != checked[k]} <= {"gap"}
+
     def test_missing_z_input_is_invalid(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, problem="check")
         rc = main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")])

@@ -31,6 +31,11 @@ class TestEvolve:
             evolve(np.zeros((6, 6)), SPEC, 0.2, 0, OPTS)
         with pytest.raises(InvalidInputError):
             evolve(np.zeros((6, 6)), SPEC, 0.2, 2, OPTS, stride=0)
+        for n_steps in (2.5, np.inf):
+            with pytest.raises(InvalidInputError, match="n_steps"):
+                evolve(np.zeros((6, 6)), SPEC, 0.2, n_steps, OPTS)
+        with pytest.raises(InvalidInputError, match="stride"):
+            evolve(np.zeros((6, 6)), SPEC, 0.2, 2, OPTS, stride=1.5)
 
     def test_trajectory_layout(self, trajectory):
         u0, traj = trajectory
