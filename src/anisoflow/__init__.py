@@ -32,7 +32,6 @@ from .errors import (
     NonConvergenceError,
     NumericalFailureError,
 )
-from .estimators import EllipticSolver, GradientFlow, ResolventStep
 from .flow import Trajectory, accretivity_probe, comparison_test, evolve
 from .grid import (
     GridSpec,
@@ -49,7 +48,7 @@ from .io import (
     read_field,
     write_field,
 )
-from .oracle import OracleOptions, oracle_minimize, smoothed_energy
+from .oracle import oracle_minimize, smoothed_energy
 from .prox import (
     project_ball,
     project_interval,
@@ -74,16 +73,12 @@ __all__ = [
     "Certificate",
     "CoareaCheck",
     "DualState",
-    "EllipticSolver",
     "EnergyBreakdown",
-    "GradientFlow",
     "GridSpec",
     "InvalidInputError",
     "InvalidStateError",
     "NonConvergenceError",
     "NumericalFailureError",
-    "OracleOptions",
-    "ResolventStep",
     "RunConfig",
     "SolveOptions",
     "SolveReport",

@@ -131,7 +131,6 @@ def weak_normal_trace(z, spec: GridSpec):
     component; zeros under neumann_block1.  Its sup never exceeds the
     per-cell sup of ||z1||.
     """
-    z = check_vector_field(z, spec)
     return sampled_normal_trace(z, spec)
 
 

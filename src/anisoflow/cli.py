@@ -3,9 +3,7 @@
 Subcommands: solve-elliptic, resolvent, evolve, check, oracle, selftest.
 Each takes --config (required) plus optional --out, --seed, --max-iter,
 and --gap-tol overrides.  Failures exit nonzero after printing a
-machine-readable JSON error object to stderr.  The environment variable
-ANISOFLOW_THREADS (0 = automatic) caps the BLAS thread pools, best
-effort, and is recorded in every report.
+machine-readable JSON error object to stderr.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -38,23 +35,6 @@ from .io import (
 from .oracle import oracle_minimize
 from .selftest import format_lines, run_selftest
 from .solver import solve_elliptic, solve_resolvent
-
-_THREADS_VAR = "ANISOFLOW_THREADS"
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get(_THREADS_VAR, "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InvalidInputError(f"{_THREADS_VAR} must be a nonnegative integer, got {raw!r}")
-    if n < 0:
-        raise InvalidInputError(f"{_THREADS_VAR} must be a nonnegative integer, got {raw!r}")
-    if n > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(n))
-    return n
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -111,8 +91,8 @@ def _need_spec(config):
     return config.spec
 
 
-def _echo(config, seed, threads):
-    return {"config_text": config.raw_text, "seed": seed, "threads": threads}
+def _echo(config, seed):
+    return {"config_text": config.raw_text, "seed": seed}
 
 
 def _write_solution(out, spec, result):
@@ -124,7 +104,6 @@ def _write_solution(out, spec, result):
 
 def _cmd_solve(args, kind):
     config, opts, seed = _load_config(args)
-    threads = _thread_cap()
     spec = _need_spec(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -138,7 +117,7 @@ def _cmd_solve(args, kind):
         result.report,
         result.report.certificate,
         out / "report.json",
-        config_echo=_echo(config, seed, threads),
+        config_echo=_echo(config, seed),
         seed=seed,
     )
     print(
@@ -150,7 +129,6 @@ def _cmd_solve(args, kind):
 
 def _cmd_evolve(args):
     config, opts, seed = _load_config(args)
-    threads = _thread_cap()
     spec = _need_spec(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -169,7 +147,7 @@ def _cmd_evolve(args):
         body,
         traj.certificates[-1],
         out / "report.json",
-        config_echo=_echo(config, seed, threads),
+        config_echo=_echo(config, seed),
         seed=seed,
     )
     print(
@@ -181,7 +159,6 @@ def _cmd_evolve(args):
 
 def _cmd_check(args):
     config, opts, seed = _load_config(args)
-    threads = _thread_cap()
     spec = _need_spec(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -202,7 +179,7 @@ def _cmd_check(args):
         None,
         cert,
         out / "certificate.json",
-        config_echo=_echo(config, seed, threads),
+        config_echo=_echo(config, seed),
         seed=seed,
     )
     print(
@@ -214,7 +191,6 @@ def _cmd_check(args):
 
 def _cmd_oracle(args):
     config, opts, seed = _load_config(args)
-    threads = _thread_cap()
     spec = _need_spec(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -224,7 +200,7 @@ def _cmd_oracle(args):
     write_field(out / "u_ref.anzf", u_ref, spec.spacing)
     body = {"problem": f"oracle-{kind}", "value_ref": value_ref}
     emit_report(
-        body, None, out / "report.json", config_echo=_echo(config, seed, threads), seed=seed
+        body, None, out / "report.json", config_echo=_echo(config, seed), seed=seed
     )
     print(f"oracle ({kind}): value {value_ref:.12e}")
     return 0
@@ -232,7 +208,6 @@ def _cmd_oracle(args):
 
 def _cmd_selftest(args):
     config, _opts, seed = _load_config(args)
-    threads = _thread_cap()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results = run_selftest(seed)
@@ -241,7 +216,7 @@ def _cmd_selftest(args):
     payload = report_payload(
         {"problem": "selftest", "results": [dataclasses.asdict(r) for r in results]},
         None,
-        config_echo=_echo(config, seed, threads),
+        config_echo=_echo(config, seed),
         seed=seed,
     )
     (out / "selftest.json").write_bytes(report_bytes(payload))

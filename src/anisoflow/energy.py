@@ -20,7 +20,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .grid import GridSpec, check_scalar_field, grad_block, boundary_restriction, boundary_weights
+from .grid import (
+    GridSpec,
+    _grad_impl,
+    _power_blocks,
+    _restrict_impl,
+    boundary_weights,
+    check_scalar_field,
+    grad_block,
+)
 
 TV_NORMS = ("euclidean", "l1")
 
@@ -51,40 +59,49 @@ class EnergyBreakdown:
         )
 
 
+def _tv_value(g1: np.ndarray, spec: GridSpec, norm: str) -> float:
+    return float(np.sum(_cell_norms(g1, norm))) * spec.cell_volume
+
+
+def _power_value(g: np.ndarray, p: float, spec: GridSpec) -> float:
+    mags = np.sqrt(np.sum(g * g, axis=0))
+    return float(np.sum(mags**p)) * spec.cell_volume / p
+
+
+def _boundary_value(u: np.ndarray, spec: GridSpec) -> float:
+    if not spec.has_trace_term:
+        return 0.0
+    return float(np.sum(boundary_weights(spec) * np.abs(_restrict_impl(u, spec))))
+
+
 def tv_block1(u, spec: GridSpec, norm: str = "euclidean") -> float:
     """Discrete total variation along the block-1 axes.
 
     Nonnegative; zero exactly when every block-1 difference vanishes.
     """
-    g = grad_block(u, spec, 1)
-    return float(np.sum(_cell_norms(g, norm))) * spec.cell_volume
+    return _tv_value(grad_block(u, spec, 1), spec, norm)
 
 
 def power_term(u, spec: GridSpec, block: int) -> float:
     """(1/p) * integral of the Euclidean block gradient norm to the power p."""
     if block < 2:
         raise InvalidInputError("power terms are defined for blocks >= 2")
-    p = spec.exponents[block - 1]
-    g = grad_block(u, spec, block)
-    mags = np.sqrt(np.sum(g * g, axis=0))
-    return float(np.sum(mags**p)) * spec.cell_volume / p
+    return _power_value(grad_block(u, spec, block), spec.exponents[block - 1], spec)
 
 
 def boundary_term(u, spec: GridSpec) -> float:
     """Face-area-weighted |u| on the block-1 outer faces; 0 under neumann_block1."""
-    if not spec.has_trace_term:
-        check_scalar_field(u, spec)
-        return 0.0
-    tr = boundary_restriction(u, spec)
-    return float(np.sum(boundary_weights(spec) * np.abs(tr)))
+    return _boundary_value(check_scalar_field(u, spec), spec)
 
 
 def eval_F(u, spec: GridSpec, norm: str = "euclidean") -> EnergyBreakdown:
     """Energy driving the gradient flow (no source term)."""
+    u = check_scalar_field(u, spec)
+    g = _grad_impl(u, spec)
     return EnergyBreakdown(
-        tv_block1=tv_block1(u, spec, norm),
-        power_terms=tuple(power_term(u, spec, b) for b in range(2, spec.n_blocks + 1)),
-        boundary_term=boundary_term(u, spec),
+        tv_block1=_tv_value(g[: spec.blocks[0]], spec, norm),
+        power_terms=tuple(_power_value(g[sl], p, spec) for sl, p, _q in _power_blocks(spec)),
+        boundary_term=_boundary_value(u, spec),
         source_term=0.0,
     )
 

@@ -25,7 +25,9 @@ order: axis by axis, low side then high side, row-major within a side.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,24 @@ BOUNDARY_MODES = ("dirichlet_penalized", "neumann_block1")
 # well posed; p <= _P_MAX is equivalent to p' >= 1 + 1e-6.
 _P_MAX = 1.0 + 1e6
 _P_MIN = 1.0 + 1e-6
+
+
+def _integers(values, name: str, errs: list) -> tuple[int, ...]:
+    """``values`` as ints, a non-integral entry reported in ``errs``.
+
+    Reported entries are truncated (0 when they have no integer part) so
+    that the remaining checks still run.
+    """
+    values = tuple(values)
+    out = []
+    for v in values:
+        try:
+            out.append(int(v))
+        except (TypeError, ValueError, OverflowError):
+            out.append(0)
+    if any(n != v for n, v in zip(out, values)):
+        errs.append(f"{name} entries must be integers, got {values}")
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -69,11 +89,11 @@ class GridSpec:
     boundary_mode: str = "dirichlet_penalized"
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "spacing", tuple(float(h) for h in self.spacing))
-        object.__setattr__(self, "blocks", tuple(int(b) for b in self.blocks))
-        object.__setattr__(self, "exponents", tuple(float(p) for p in self.exponents))
         errs = []
+        object.__setattr__(self, "dims", _integers(self.dims, "dims", errs))
+        object.__setattr__(self, "spacing", tuple(float(h) for h in self.spacing))
+        object.__setattr__(self, "blocks", _integers(self.blocks, "blocks", errs))
+        object.__setattr__(self, "exponents", tuple(float(p) for p in self.exponents))
         if len(self.dims) < 1:
             errs.append("dims must name at least one axis")
         if any(d < 2 for d in self.dims):
@@ -82,6 +102,14 @@ class GridSpec:
             errs.append("spacing must have one entry per axis")
         elif any(not (h > 0.0 and math.isfinite(h)) for h in self.spacing):
             errs.append(f"spacing entries must be positive finite, got {self.spacing}")
+        else:
+            with np.errstate(over="ignore"):
+                weights = [self.cell_volume] + [self.face_area(a) for a in range(self.ndim)]
+            if not all(sys.float_info.min <= w < math.inf for w in weights):
+                errs.append(
+                    f"spacing {self.spacing} gives a cell volume or face area that is "
+                    f"zero, subnormal or infinite"
+                )
         if any(b < 1 for b in self.blocks) or sum(self.blocks) != len(self.dims):
             errs.append(
                 f"blocks {self.blocks} must be positive and sum to ndim={len(self.dims)}"
@@ -216,16 +244,13 @@ def _axis_divergence(z_a: np.ndarray, axis: int, h: float, ghost_zero: bool) -> 
 def grad_block(u, spec: GridSpec, block: int) -> np.ndarray:
     """Forward-difference gradient restricted to one 1-based block.
 
-    Returns an array of shape ``(block size, *dims)``.  Block-1 axes use
-    interior differences with a zero far slot; later blocks difference
-    against the ghost value 0 beyond the far face.
+    Returns the block's slice of :func:`gradient`, of shape
+    ``(block size, *dims)``: block-1 axes use interior differences with
+    a zero far slot, later blocks difference against the ghost value 0
+    beyond the far face.
     """
-    u = check_scalar_field(u, spec)
-    ghost = block >= 2
-    comps = [
-        _axis_forward_diff(u, a, spec.spacing[a], ghost) for a in spec.block_axes(block)
-    ]
-    return np.stack(comps)
+    axes = spec.block_axes(block)
+    return gradient(u, spec)[axes[0] : axes[-1] + 1]
 
 
 def _grad_impl(u: np.ndarray, spec: GridSpec) -> np.ndarray:
@@ -266,34 +291,26 @@ def boundary_faces(spec: GridSpec) -> list[tuple[int, int]]:
 
 
 def boundary_face_count(spec: GridSpec) -> int:
-    n = 0
-    for a in spec.block1_axes:
-        n += 2 * int(np.prod(spec.dims)) // spec.dims[a]
-    return n
+    return _face_table(spec)[1]
 
 
-_FACE_META: dict = {}
-
-
-def _face_meta(spec: GridSpec):
-    """Cached (axis, side slice index, offset, count, face shape) per face."""
-    if spec not in _FACE_META:
-        total_cells = 1
-        for d in spec.dims:
-            total_cells *= d
-        entries = []
-        pos = 0
-        for a, s in boundary_faces(spec):
-            n = total_cells // spec.dims[a]
-            shape = tuple(d for i, d in enumerate(spec.dims) if i != a)
-            entries.append((a, 0 if s == 0 else -1, pos, n, shape))
-            pos += n
-        _FACE_META[spec] = (tuple(entries), pos)
-    return _FACE_META[spec]
+@functools.cache
+def _face_table(spec: GridSpec):
+    """(axis, side slice index, offset, count, face shape) per face group,
+    in restriction order, and the total face count."""
+    total_cells = math.prod(spec.dims)
+    entries = []
+    pos = 0
+    for a, s in boundary_faces(spec):
+        n = total_cells // spec.dims[a]
+        shape = tuple(d for i, d in enumerate(spec.dims) if i != a)
+        entries.append((a, 0 if s == 0 else -1, pos, n, shape))
+        pos += n
+    return tuple(entries), pos
 
 
 def _restrict_impl(u: np.ndarray, spec: GridSpec) -> np.ndarray:
-    entries, total = _face_meta(spec)
+    entries, total = _face_table(spec)
     out = np.empty(total)
     for a, edge, pos, n, _shape in entries:
         out[pos : pos + n] = u[_idx(a, edge)].ravel()
@@ -307,10 +324,8 @@ def boundary_restriction(u, spec: GridSpec) -> np.ndarray:
 
 def boundary_weights(spec: GridSpec) -> np.ndarray:
     """Face area per boundary entry, matching the restriction order."""
-    parts = []
-    for a, _s in boundary_faces(spec):
-        n = int(np.prod(spec.dims)) // spec.dims[a]
-        parts.append(np.full(n, spec.face_area(a)))
+    entries, _total = _face_table(spec)
+    parts = [np.full(n, spec.face_area(a)) for a, _edge, _pos, n, _shape in entries]
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
@@ -327,7 +342,7 @@ def boundary_scatter(w, spec: GridSpec) -> np.ndarray:
 
 def _scatter_impl(w: np.ndarray, spec: GridSpec) -> np.ndarray:
     out = np.zeros(spec.dims)
-    entries, _total = _face_meta(spec)
+    entries, _total = _face_table(spec)
     for a, edge, pos, n, shape in entries:
         out[_idx(a, edge)] += w[pos : pos + n].reshape(shape) / spec.spacing[a]
     return out

@@ -9,8 +9,7 @@ ndim u8, then one u64 per axis (shape), one f64 per axis (spacing), and
 the float64 payload in C order.  Round trips are bit-exact.
 
 Reports serialize as canonical JSON (sorted keys, fixed layout) so that
-identical runs produce identical bytes; wall-clock timing is excluded
-unless asked for.
+identical runs produce identical bytes; wall-clock timing is excluded.
 """
 
 from __future__ import annotations
@@ -273,15 +272,13 @@ def _jsonify(obj):
     return obj
 
 
-def report_payload(report, certificate=None, config_echo=None, seed=None,
-                   include_timing: bool = False) -> dict:
-    """Assemble the serializable report structure."""
+def report_payload(report, certificate=None, config_echo=None, seed=None) -> dict:
+    """Assemble the serializable report structure, wall-clock timing excluded."""
     body = {}
     if dataclasses.is_dataclass(report) and not isinstance(report, type):
         body = _jsonify(dataclasses.asdict(report))
         body.pop("certificate", None)
-        if not include_timing:
-            body.pop("wall_time_s", None)
+        body.pop("wall_time_s", None)
         if certificate is None and report.certificate is not None:
             certificate = report.certificate
     elif isinstance(report, dict):
@@ -298,15 +295,12 @@ def report_bytes(payload: dict) -> bytes:
     return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
 
 
-def emit_report(report, certificate, path, config_echo=None, seed=None,
-                include_timing: bool = False) -> bytes:
+def emit_report(report, certificate, path, config_echo=None, seed=None) -> bytes:
     """Write the canonical JSON report; returns the exact bytes written.
 
     Identical runs produce identical bytes: keys are sorted, layout is
-    fixed, and timing is excluded unless ``include_timing`` is set.
+    fixed, and timing is excluded.
     """
-    blob = report_bytes(
-        report_payload(report, certificate, config_echo, seed, include_timing)
-    )
+    blob = report_bytes(report_payload(report, certificate, config_echo, seed))
     Path(path).write_bytes(blob)
     return blob

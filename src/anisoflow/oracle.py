@@ -15,7 +15,6 @@ is validated against, so it shares no iteration machinery with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,38 +31,16 @@ from .grid import (
     interior_divergence,
 )
 
-_DEFAULT_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 PROBLEM_KINDS = ("elliptic", "resolvent", "flow")
 _MAX_CELLS = 256  # 16 x 16
 
-
-@dataclass(frozen=True)
-class OracleOptions:
-    """Continuation schedule and per-stage descent controls."""
-
-    eps_schedule: tuple[float, ...] = _DEFAULT_SCHEDULE
-    stage_grad_tol: float = 1e-6
-    max_inner: int = 200000
-    progress_floor: float = 1e-13
-    stall_window: int = 30
-
-    def __post_init__(self):
-        object.__setattr__(self, "eps_schedule", tuple(float(e) for e in self.eps_schedule))
-        sched = self.eps_schedule
-        if not sched or any(e <= 0 for e in sched):
-            raise InvalidInputError("eps_schedule must be positive")
-        if any(a >= b for a, b in zip(sched[1:], sched)):
-            raise InvalidInputError("eps_schedule must be strictly decreasing")
-        if sched[-1] > 1e-8:
-            raise InvalidInputError("eps_schedule must end at 1e-8 or below")
-        if self.stage_grad_tol <= 0 or self.max_inner < 1:
-            raise InvalidInputError("stage_grad_tol must be positive, max_inner >= 1")
-        if self.progress_floor <= 0 or self.stall_window < 1:
-            raise InvalidInputError("progress_floor must be positive, stall_window >= 1")
-
-
-def _smooth_abs(x: np.ndarray, eps: float) -> np.ndarray:
-    return np.sqrt(x * x + eps * eps) - eps
+# Continuation schedule, strictly decreasing and ending at 1e-8, and the
+# per-stage descent controls (see _descend).
+_EPS_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
+_STAGE_GRAD_TOL = 1e-6
+_MAX_INNER = 200000
+_PROGRESS_FLOOR = 1e-13
+_STALL_WINDOW = 30
 
 
 def _value_and_grad(u, spec: GridSpec, eps: float, kind: str, data, tau_time: float):
@@ -109,14 +86,7 @@ def _value_and_grad(u, spec: GridSpec, eps: float, kind: str, data, tau_time: fl
 def smoothed_energy(u, spec: GridSpec, eps: float, problem_kind: str = "flow",
                     data=None, tau_time: float = 1.0) -> float:
     """Smoothed objective value; within eps * (terms * measure) of exact."""
-    if eps <= 0:
-        raise InvalidInputError("eps must be positive")
-    if problem_kind not in PROBLEM_KINDS:
-        raise InvalidInputError(f"problem_kind must be one of {PROBLEM_KINDS}")
-    u = check_scalar_field(u, spec)
-    if problem_kind != "flow":
-        data = check_scalar_field(data, spec, name="data")
-    return _value_and_grad(u, spec, eps, problem_kind, data, tau_time)[0]
+    return smoothed_energy_grad(u, spec, eps, problem_kind, data, tau_time)[0]
 
 
 def smoothed_energy_grad(u, spec: GridSpec, eps: float, problem_kind: str = "flow",
@@ -132,23 +102,23 @@ def smoothed_energy_grad(u, spec: GridSpec, eps: float, problem_kind: str = "flo
     return _value_and_grad(u, spec, eps, problem_kind, data, tau_time)
 
 
-def _descend(u, spec, eps, kind, data, tau_time, opts, stage_index):
+def _descend(u, spec, eps, kind, data, tau_time, stage_index):
     """BB-stepped Armijo descent for one smoothing stage.
 
     Stops when the weighted gradient norm meets the stage tolerance, or
-    when the per-iteration decrease stays below ``progress_floor``
-    (relative) for ``stall_window`` consecutive accepted steps: at the
+    when the per-iteration decrease stays below ``_PROGRESS_FLOOR``
+    (relative) for ``_STALL_WINDOW`` consecutive accepted steps: at the
     tightest smoothings the backtracked iteration reaches the double
     precision floor of the surrogate before the gradient test can fire,
     and the best iterate found is then returned.  Only exhausting
-    ``max_inner`` is an error.
+    ``_MAX_INNER`` is an error.
     """
     val, grad = _value_and_grad(u, spec, eps, kind, data, tau_time)
     gn2 = float(np.vdot(grad, grad))
     step = 1.0 / (1.0 + np.sqrt(gn2))
     stalled = 0
-    for _ in range(opts.max_inner):
-        if np.sqrt(gn2 * spec.cell_volume) <= opts.stage_grad_tol * (1.0 + abs(val)):
+    for _ in range(_MAX_INNER):
+        if np.sqrt(gn2 * spec.cell_volume) <= _STAGE_GRAD_TOL * (1.0 + abs(val)):
             return u, val
         t = step
         for _bt in range(80):
@@ -160,7 +130,7 @@ def _descend(u, spec, eps, kind, data, tau_time, opts, stage_index):
         else:
             # no decrease in 80 halvings: the surrogate's numerical floor
             return u, val
-        if val - cval <= opts.progress_floor * (1.0 + abs(cval)):
+        if val - cval <= _PROGRESS_FLOOR * (1.0 + abs(cval)):
             stalled += 1
         else:
             stalled = 0
@@ -170,18 +140,17 @@ def _descend(u, spec, eps, kind, data, tau_time, opts, stage_index):
         step = float(np.vdot(du, du)) / denom if denom > 0 else 2.0 * t
         u, val, grad = cand, cval, cgrad
         gn2 = float(np.vdot(grad, grad))
-        if stalled >= opts.stall_window:
+        if stalled >= _STALL_WINDOW:
             return u, val
     raise NumericalFailureError(
         f"oracle stage did not meet its gradient tolerance within "
-        f"{opts.max_inner} iterations at eps={eps:g}",
+        f"{_MAX_INNER} iterations at eps={eps:g}",
         residual=float(np.sqrt(gn2 * spec.cell_volume)),
         stage=stage_index,
     )
 
 
-def oracle_minimize(problem_kind: str, data, spec: GridSpec,
-                    opts: OracleOptions | None = None, tau_time: float = 1.0):
+def oracle_minimize(problem_kind: str, data, spec: GridSpec, tau_time: float = 1.0):
     """(u_ref, value_ref) from the continuation descent; small grids only.
 
     value_ref is the exact (unsmoothed) objective at the final iterate,
@@ -198,11 +167,10 @@ def oracle_minimize(problem_kind: str, data, spec: GridSpec,
         )
     if not (tau_time > 0 and math.isfinite(tau_time)):
         raise InvalidInputError(f"tau_time must be positive and finite, got {tau_time}")
-    opts = opts or OracleOptions()
     data = check_scalar_field(data, spec, name="data")
     u = np.zeros(spec.dims)
-    for i, eps in enumerate(opts.eps_schedule):
-        u, _ = _descend(u, spec, eps, problem_kind, data, tau_time, opts, i)
+    for i, eps in enumerate(_EPS_SCHEDULE):
+        u, _ = _descend(u, spec, eps, problem_kind, data, tau_time, i)
     if problem_kind == "elliptic":
         value = eval_J(u, data, spec).total
     else:

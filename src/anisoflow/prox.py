@@ -6,23 +6,14 @@ firmly nonexpansive, and are exact up to the stated Newton tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
 
-
-@dataclass(frozen=True)
-class ProxParams:
-    """Scalar-solve tolerances for the power prox."""
-
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 50
-
-    def __post_init__(self):
-        if self.newton_tol <= 0 or self.newton_max_iter < 1:
-            raise InvalidInputError("newton_tol must be positive, newton_max_iter >= 1")
+# Scalar-solve controls of the power prox: the residual tolerance,
+# relative to 1 + |v|, and the Newton iteration budget.
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 50
 
 
 def project_ball(v, radius: float = 1.0) -> np.ndarray:
@@ -37,17 +28,15 @@ def project_interval(v, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
     return np.clip(np.asarray(v, dtype=float), lo, hi)
 
 
-def prox_power_conj(v, sigma: float, p_conj: float, params: ProxParams | None = None) -> np.ndarray:
+def prox_power_conj(v, sigma: float, p_conj: float) -> np.ndarray:
     """Prox of sigma/q * |.|^q with q = p_conj, elementwise.
 
     Solves x + sigma x^{q-1} = |v| for x >= 0 and returns the root with
     the sign of v.  q = 2 is closed-form; otherwise a Newton iteration
     safeguarded by bisection on [0, |v|] runs until
-    |x + sigma x^{q-1} - |v|| <= newton_tol * (1 + |v|).
+    |x + sigma x^{q-1} - |v|| <= 1e-12 * (1 + |v|).
     """
     q = p_conj
-    if params is None:
-        params = ProxParams()
     if q < 1.0 + 1e-6:
         raise InvalidInputError(f"conjugate exponent q={q} too close to 1")
     if sigma < 0:
@@ -64,9 +53,9 @@ def prox_power_conj(v, sigma: float, p_conj: float, params: ProxParams | None = 
     lo = np.zeros_like(av)
     hi = av.copy()
     x = av / (1.0 + sigma)
-    tol = params.newton_tol * (1.0 + av)
+    tol = _NEWTON_TOL * (1.0 + av)
     done = av == 0.0
-    for _ in range(params.newton_max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             xa = np.where(x > 0, x, 1.0)
             res = x + sigma * xa ** (q - 1.0) * (x > 0) - av
@@ -87,13 +76,13 @@ def prox_power_conj(v, sigma: float, p_conj: float, params: ProxParams | None = 
             worst = float(np.max(np.abs(res[bad])))
             raise NumericalFailureError(
                 f"power prox Newton did not reach tolerance after "
-                f"{params.newton_max_iter} iterations",
+                f"{_NEWTON_MAX_ITER} iterations",
                 residual=worst,
             )
     return np.sign(v) * x
 
 
-def prox_power_conj_radial(w, sigma: float, p_conj: float, params: ProxParams | None = None) -> np.ndarray:
+def prox_power_conj_radial(w, sigma: float, p_conj: float) -> np.ndarray:
     """Per-cell radial prox for vector fields (components along axis 0).
 
     Shrinks each cell vector's magnitude by the scalar prox and keeps
@@ -104,7 +93,7 @@ def prox_power_conj_radial(w, sigma: float, p_conj: float, params: ProxParams | 
         # magnitude shrink is linear, so it commutes with the direction
         return w / (1.0 + sigma)
     mags = np.sqrt(np.sum(w * w, axis=0))
-    new_mags = prox_power_conj(mags, sigma, p_conj, params)
+    new_mags = prox_power_conj(mags, sigma, p_conj)
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(mags > 0, new_mags / np.where(mags > 0, mags, 1.0), 0.0)
     return w * scale

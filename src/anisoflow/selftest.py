@@ -16,7 +16,7 @@ import numpy as np
 from . import io as aio
 from .certificates import gauss_green_residual, pairing_measure, weak_normal_trace
 from .energy import coarea_check, eval_F, poincare_check
-from .flow import _positive_part_growth, accretivity_probe, evolve
+from .flow import _positive_part_growth, accretivity_probe, evolve, operator_pair
 from .grid import (
     GridSpec,
     div_blocks,
@@ -304,9 +304,7 @@ def _criterion_10(seed: int, ctx: dict) -> CriterionResult:
     pairs = []
     for _i in range(3):
         g = rng.standard_normal(spec.dims)
-        res = solve_resolvent(g, 0.1, spec, opts)
-        v = -div_blocks(res.z, spec, res.v0)
-        pairs.append((res.u, v))
+        pairs.append(operator_pair(solve_resolvent(g, 0.1, spec, opts), spec))
     clamps = []
     for j in range(10):
         a = 0.05 + 0.45 * rng.random()

@@ -284,7 +284,13 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
     data = check_scalar_field(data, spec, name="f" if kind == "elliptic" else "g")
     prob = _Problem(kind, data, spec, tau_time, opts)
 
-    sigma = 1.0 / estimate_opnorm(spec)
+    with np.errstate(all="ignore"):  # a spacing that breaks the estimate fails below
+        sigma = 1.0 / estimate_opnorm(spec)
+    if not 0.0 < sigma < math.inf:
+        raise InvalidInputError(
+            f"spacing {spec.spacing} gives no finite positive step size "
+            f"(sigma = {sigma}); rescale the grid"
+        )
 
     u = np.zeros(spec.dims) if u_init is None else check_scalar_field(u_init, spec).copy()
     y = np.zeros((spec.ndim,) + spec.dims) if y_init is None else check_vector_field(y_init, spec).copy()

@@ -226,10 +226,3 @@ class TestErrorPaths:
         )
         assert rc == 3
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "non_convergence"
-
-    def test_thread_variable_validated(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ANISOFLOW_THREADS", "many")
-        cfg = _write_config(tmp_path)
-        rc = main(["solve-elliptic", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert "ANISOFLOW_THREADS" in json.loads(capsys.readouterr().err)["error"]["message"]

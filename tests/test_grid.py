@@ -71,6 +71,30 @@ class TestGridSpec:
         assert "p1 must equal 1" in msg
         assert "spacing" in msg
 
+    @pytest.mark.parametrize(
+        "dims, blocks, what",
+        [((8.7, 8), (1, 1), "dims"), ((8, 8), (1.5, 1.5), "blocks")],
+    )
+    def test_non_integral_dims_and_blocks_rejected(self, dims, blocks, what):
+        # both used to be truncated silently, to (8, 8) and (1, 1)
+        with pytest.raises(InvalidInputError, match=f"{what} entries must be integers"):
+            GridSpec(dims, (1.0, 1.0), blocks, (1.0, 2.0))
+
+    def test_integral_values_of_any_type_accepted(self):
+        spec = GridSpec((8.0, np.int64(6)), (1.0, 1.0), (np.int32(1), 1.0), (1.0, 2.0))
+        assert spec.dims == (8, 6) and spec.blocks == (1, 1)
+        assert all(type(n) is int for n in spec.dims + spec.blocks)
+
+    @pytest.mark.parametrize(
+        "spacing",
+        [(1e-160, 1e-160), (1e-200, 1e-200), (1e160, 1e160), (1e300, 1e-200, 1e-200)],
+        ids=["subnormal-volume", "zero-volume", "infinite-volume", "zero-face-area"],
+    )
+    def test_degenerate_cell_weights_rejected(self, spacing):
+        ndim = len(spacing)
+        with pytest.raises(InvalidInputError, match="cell volume or face area"):
+            GridSpec((4,) * ndim, spacing, (1, ndim - 1), (1.0, 2.0))
+
     def test_exponent_bounds(self):
         with pytest.raises(InvalidInputError):
             GridSpec((4, 4), (1.0, 1.0), (1, 1), (1.0, 1.0))

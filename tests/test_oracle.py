@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from anisoflow import GridSpec, InvalidInputError
+from anisoflow import GridSpec, InvalidInputError, oracle
 from anisoflow.energy import eval_F, eval_J
 from anisoflow.errors import NumericalFailureError
 from anisoflow.oracle import (
-    OracleOptions,
     oracle_minimize,
     smoothed_energy,
     smoothed_energy_grad,
@@ -31,29 +30,11 @@ DIR = GridSpec(
 
 
 class TestOptions:
-    @pytest.mark.parametrize(
-        "sched",
-        [
-            (),
-            (1e-2, -1e-3, 1e-8),
-            (1e-3, 1e-2, 1e-8),
-            (1e-4, 1e-4, 1e-8),
-            (1e-2, 1e-4),
-        ],
-    )
-    def test_bad_schedules_rejected(self, sched):
-        with pytest.raises(InvalidInputError):
-            OracleOptions(eps_schedule=sched)
-
     def test_default_schedule_valid(self):
-        opts = OracleOptions()
-        assert opts.eps_schedule[0] == 1e-2 and opts.eps_schedule[-1] == 1e-8
-
-    def test_stall_controls_validated(self):
-        with pytest.raises(InvalidInputError):
-            OracleOptions(progress_floor=0.0)
-        with pytest.raises(InvalidInputError):
-            OracleOptions(stall_window=0)
+        # value_ref's accuracy rests on the last stage's eps
+        sched = oracle._EPS_SCHEDULE
+        assert sched[0] == 1e-2 and sched[-1] == 1e-8
+        assert all(a > b > 0 for a, b in zip(sched, sched[1:]))
 
 
 class TestSmoothedEnergy:
@@ -135,9 +116,10 @@ class TestMinimize:
         with pytest.raises(InvalidInputError):
             oracle_minimize("elliptic", np.zeros((17, 17)), big)
 
-    def test_exhausted_stage_reports_its_index(self):
-        opts = OracleOptions(max_inner=2, stall_window=10**6)
+    def test_exhausted_stage_reports_its_index(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_INNER", 2)
+        monkeypatch.setattr(oracle, "_STALL_WINDOW", 10**6)
         with pytest.raises(NumericalFailureError) as err:
-            oracle_minimize("elliptic", np.ones((6, 6)), NEU, opts)
+            oracle_minimize("elliptic", np.ones((6, 6)), NEU)
         assert err.value.stage == 0
         assert err.value.residual > 0

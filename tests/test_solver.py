@@ -80,6 +80,20 @@ class TestOpnorm:
         # the extra boundary rows can only increase the norm
         assert estimate_opnorm(DIR) > estimate_opnorm(NEU)
 
+    @pytest.mark.parametrize("kind", ["elliptic", "resolvent"])
+    @pytest.mark.parametrize("h", [1e-200, 1e-160, 1e-150, 1e-70, 1e90, 1e150])
+    def test_spacing_without_finite_step_rejected(self, h, kind):
+        # the power iteration gives NaN here; solves used to certify u = 0
+        # at iteration 0 (small h) or blame u (large h)
+        data = np.zeros((8, 8))
+        data[:4] = 1.0
+        with pytest.raises(InvalidInputError, match=r"spacing \("):
+            spec = GridSpec((8, 8), (h, h), (1, 1), (1.0, 2.0))
+            if kind == "elliptic":
+                solve_elliptic(np.ones((8, 8)), spec)
+            else:
+                solve_resolvent(data, 0.1, spec)
+
 
 class TestElliptic:
     def test_zero_source_solves_immediately(self):
