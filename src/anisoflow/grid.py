@@ -21,6 +21,15 @@ shape ``(ndim, *dims)``, with the forward difference along axis ``a``
 stored at the cell where the difference originates.  Boundary fields are
 flat arrays enumerating the outer faces of block-1 axes in a fixed
 order: axis by axis, low side then high side, row-major within a side.
+
+The unvalidated kernels behind the public operators (``_grad_impl``,
+``_div_impl``, ``_restrict_impl``, ``_scatter_impl``) take an optional
+``out``: a C-contiguous float64 array of the result's shape, which is
+overwritten and returned; without it they allocate the result.
+``_div_impl`` also takes ``scratch``, a ``dims``-shaped buffer for the
+axis terms after the first.  Buffers must not overlap the input.  With
+or without them every entry comes from the same floating-point
+operations in the same order, so the results are bitwise equal.
 """
 
 from __future__ import annotations
@@ -222,25 +231,6 @@ def _idx(axis: int, sl) -> tuple:
     return (slice(None),) * axis + (sl,)
 
 
-def _axis_forward_diff(u: np.ndarray, axis: int, h: float, ghost_zero: bool) -> np.ndarray:
-    g = np.zeros_like(u)
-    g[_idx(axis, slice(None, -1))] = np.diff(u, axis=axis) / h
-    if ghost_zero:
-        g[_idx(axis, -1)] = -u[_idx(axis, -1)] / h
-    return g
-
-
-def _axis_divergence(z_a: np.ndarray, axis: int, h: float, ghost_zero: bool) -> np.ndarray:
-    # Exact negative transpose of _axis_forward_diff with the same closure:
-    # d_j = (z_j - z_{j-1})/h with z_{-1} = 0, and without the ghost closure
-    # the far slot is dead weight (d_last = -z_{last-1}/h).
-    d = z_a.copy()
-    if not ghost_zero:
-        d[_idx(axis, -1)] = 0.0
-    d[_idx(axis, slice(1, None))] -= z_a[_idx(axis, slice(None, -1))]
-    return d / h
-
-
 def grad_block(u, spec: GridSpec, block: int) -> np.ndarray:
     """Forward-difference gradient restricted to one 1-based block.
 
@@ -253,11 +243,28 @@ def grad_block(u, spec: GridSpec, block: int) -> np.ndarray:
     return gradient(u, spec)[axes[0] : axes[-1] + 1]
 
 
-def _grad_impl(u: np.ndarray, spec: GridSpec) -> np.ndarray:
+def _grad_impl(u: np.ndarray, spec: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
+    if out is None:
+        out = np.empty((spec.ndim,) + spec.dims)
+    flat = u.reshape(-1)
     n1 = spec.blocks[0]
-    return np.stack(
-        [_axis_forward_diff(u, a, spec.spacing[a], a >= n1) for a in range(spec.ndim)]
-    )
+    for a in range(spec.ndim):
+        g = out[a]
+        # On the flat array a step of `s` cells is one step along axis a;
+        # the steps that wrap into the next row land on the far slots,
+        # which the closure overwrites.
+        s = math.prod(spec.dims[a + 1 :])
+        np.subtract(flat[s:], flat[:-s], out=g.reshape(-1)[:-s])
+        far = _idx(a, slice(-1, None))
+        if a >= n1:
+            # ghost value 0 beyond the far face; np.negative misreads some
+            # strided views, the multiplication is the same negation
+            np.multiply(u[far], -1.0, out=g[far])
+        else:
+            g[far] = 0.0
+        if spec.spacing[a] != 1.0:  # x / 1.0 == x
+            np.divide(g, spec.spacing[a], out=g)
+    return out
 
 
 def gradient(u, spec: GridSpec) -> np.ndarray:
@@ -265,12 +272,37 @@ def gradient(u, spec: GridSpec) -> np.ndarray:
     return _grad_impl(check_scalar_field(u, spec), spec)
 
 
-def _div_impl(z: np.ndarray, spec: GridSpec) -> np.ndarray:
+def _div_impl(
+    z: np.ndarray,
+    spec: GridSpec,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    # Exact negative transpose of _grad_impl, axis by axis:
+    # d_j = (z_j - z_{j-1})/h with z_{-1} = 0, and without the ghost
+    # closure the far slot is dead weight (d_last = (0 - z_{last-1})/h).
+    # The flat steps that wrap land on the first slots, which are then
+    # set.  The axis terms are summed in axis order; axes after the
+    # first pass through `scratch`.
+    if out is None:
+        out = np.empty(spec.dims)
+    if scratch is None and spec.ndim > 1:
+        scratch = np.empty(spec.dims)
     n1 = spec.blocks[0]
-    d = _axis_divergence(z[0], 0, spec.spacing[0], 0 >= n1)
-    for a in range(1, spec.ndim):
-        d += _axis_divergence(z[a], a, spec.spacing[a], a >= n1)
-    return d
+    for a in range(spec.ndim):
+        d = out if a == 0 else scratch
+        s = math.prod(spec.dims[a + 1 :])
+        za = z[a].reshape(-1)
+        np.subtract(za[s:], za[:-s], out=d.reshape(-1)[s:])
+        first = _idx(a, slice(0, 1))
+        d[first] = z[a][first]
+        if a < n1:
+            np.subtract(0.0, z[a][_idx(a, slice(-2, -1))], out=d[_idx(a, slice(-1, None))])
+        if spec.spacing[a] != 1.0:
+            np.divide(d, spec.spacing[a], out=d)
+        if a:
+            out += d
+    return out
 
 
 def interior_divergence(z, spec: GridSpec) -> np.ndarray:
@@ -309,11 +341,12 @@ def _face_table(spec: GridSpec):
     return tuple(entries), pos
 
 
-def _restrict_impl(u: np.ndarray, spec: GridSpec) -> np.ndarray:
+def _restrict_impl(u: np.ndarray, spec: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
     entries, total = _face_table(spec)
-    out = np.empty(total)
-    for a, edge, pos, n, _shape in entries:
-        out[pos : pos + n] = u[_idx(a, edge)].ravel()
+    if out is None:
+        out = np.empty(total)
+    for a, edge, pos, n, shape in entries:
+        out[pos : pos + n].reshape(shape)[...] = u[_idx(a, edge)]
     return out
 
 
@@ -340,11 +373,14 @@ def boundary_scatter(w, spec: GridSpec) -> np.ndarray:
     return _scatter_impl(check_boundary_field(w, spec, name="boundary field"), spec)
 
 
-def _scatter_impl(w: np.ndarray, spec: GridSpec) -> np.ndarray:
-    out = np.zeros(spec.dims)
+def _scatter_impl(w: np.ndarray, spec: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.empty(spec.dims) if out is None else out
+    out.fill(0.0)
     entries, _total = _face_table(spec)
     for a, edge, pos, n, shape in entries:
-        out[_idx(a, edge)] += w[pos : pos + n].reshape(shape) / spec.spacing[a]
+        face = w[pos : pos + n].reshape(shape)
+        h = spec.spacing[a]
+        out[_idx(a, edge)] += face if h == 1.0 else face / h
     return out
 
 

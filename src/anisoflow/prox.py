@@ -2,9 +2,14 @@
 
 All kernels act elementwise (or per-cell on vector magnitudes), are
 firmly nonexpansive, and are exact up to the stated Newton tolerance.
+Their scalar parameters are checked, never their arrays.  Where a
+kernel takes ``out``, the result written there is bit for bit the one
+it allocates without it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -16,16 +21,44 @@ _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 50
 
 
-def project_ball(v, radius: float = 1.0) -> np.ndarray:
-    """Project per-cell vectors (components along axis 0) onto the Euclidean ball."""
+def project_ball(v, radius: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
+    """Project per-cell vectors (components along axis 0) onto the Euclidean ball.
+
+    ``out``, when given, must not overlap ``v``: its first component
+    holds the magnitudes until the last division.
+    """
+    if not radius > 0.0:
+        raise InvalidInputError(f"radius must be positive, got {radius!r}")
     v = np.asarray(v, dtype=float)
-    mags = np.sqrt(np.sum(v * v, axis=0, keepdims=True))
-    return v / np.maximum(mags / radius, 1.0)
+    if out is None:
+        out = np.empty(v.shape)
+    mags = out[:1]
+    np.multiply(v[:1], v[:1], out=mags)
+    for k in range(1, len(v)):
+        mags += np.multiply(v[k : k + 1], v[k : k + 1], out=out[k : k + 1])
+    np.sqrt(mags, out=mags)
+    if radius != 1.0:
+        mags /= radius
+    np.maximum(mags, 1.0, out=mags)
+    for k in range(len(v) - 1, -1, -1):
+        np.divide(v[k : k + 1], mags, out=out[k : k + 1])
+    return out
 
 
-def project_interval(v, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
-    """Componentwise clamp onto [lo, hi]."""
-    return np.clip(np.asarray(v, dtype=float), lo, hi)
+def project_interval(
+    v, lo: float = -1.0, hi: float = 1.0, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Componentwise clamp onto [lo, hi]; ``out`` may be ``v`` itself."""
+    if not lo <= hi:
+        raise InvalidInputError(f"interval needs lo <= hi, got [{lo!r}, {hi!r}]")
+    return np.clip(np.asarray(v, dtype=float), lo, hi, out=out)
+
+
+def _check_power_params(sigma, q):
+    if not 1.0 + 1e-6 <= q < math.inf:
+        raise InvalidInputError(f"conjugate exponent q={q} must be finite and at least 1 + 1e-6")
+    if not 0.0 <= sigma < math.inf:
+        raise InvalidInputError(f"sigma must be nonnegative and finite, got {sigma!r}")
 
 
 def prox_power_conj(v, sigma: float, p_conj: float) -> np.ndarray:
@@ -37,10 +70,7 @@ def prox_power_conj(v, sigma: float, p_conj: float) -> np.ndarray:
     |x + sigma x^{q-1} - |v|| <= 1e-12 * (1 + |v|).
     """
     q = p_conj
-    if q < 1.0 + 1e-6:
-        raise InvalidInputError(f"conjugate exponent q={q} too close to 1")
-    if sigma < 0:
-        raise InvalidInputError("sigma must be nonnegative")
+    _check_power_params(sigma, q)
     v = np.asarray(v, dtype=float)
     av = np.abs(v)
     if sigma == 0.0:
@@ -82,32 +112,51 @@ def prox_power_conj(v, sigma: float, p_conj: float) -> np.ndarray:
     return np.sign(v) * x
 
 
-def prox_power_conj_radial(w, sigma: float, p_conj: float) -> np.ndarray:
+def prox_power_conj_radial(
+    w, sigma: float, p_conj: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Per-cell radial prox for vector fields (components along axis 0).
 
     Shrinks each cell vector's magnitude by the scalar prox and keeps
     its direction.
     """
+    _check_power_params(sigma, p_conj)
     w = np.asarray(w, dtype=float)
     if p_conj == 2.0 and sigma > 0:
         # magnitude shrink is linear, so it commutes with the direction
-        return w / (1.0 + sigma)
+        return np.divide(w, 1.0 + sigma, out=out)
     mags = np.sqrt(np.sum(w * w, axis=0))
     new_mags = prox_power_conj(mags, sigma, p_conj)
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(mags > 0, new_mags / np.where(mags > 0, mags, 1.0), 0.0)
-    return w * scale
+    return np.multiply(w, scale, out=out)
 
 
-def prox_primal_linear(u, tau: float, f) -> np.ndarray:
-    """Prox of the linear source term -<f, .>: a shift by tau * f."""
-    return np.asarray(u, dtype=float) + tau * np.asarray(f, dtype=float)
+def _check_step(tau):
+    if not 0.0 <= tau < math.inf:
+        raise InvalidInputError(f"tau must be nonnegative and finite, got {tau!r}")
 
 
-def prox_primal_quadratic(u, tau: float, g, tau_time: float) -> np.ndarray:
-    """Prox of the implicit-Euler coupling (1/(2 tau_time)) ||. - g||^2."""
-    if tau_time <= 0:
-        raise InvalidInputError("tau_time must be positive")
-    return (tau_time * np.asarray(u, dtype=float) + tau * np.asarray(g, dtype=float)) / (
-        tau_time + tau
-    )
+def prox_primal_linear(u, tau: float, f, out: np.ndarray | None = None) -> np.ndarray:
+    """Prox of the linear source term -<f, .>: a shift by tau * f.
+
+    ``out``, when given, must not overlap ``u``.
+    """
+    _check_step(tau)
+    f = np.asarray(f, dtype=float)
+    return np.add(np.asarray(u, dtype=float), np.multiply(f, tau, out=out), out=out)
+
+
+def prox_primal_quadratic(
+    u, tau: float, g, tau_time: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Prox of the implicit-Euler coupling (1/(2 tau_time)) ||. - g||^2.
+
+    ``out`` may be ``u`` itself.
+    """
+    _check_step(tau)
+    if not 0.0 < tau_time < math.inf:
+        raise InvalidInputError(f"tau_time must be positive and finite, got {tau_time!r}")
+    num = np.multiply(np.asarray(u, dtype=float), tau_time, out=out)
+    num = np.add(num, tau * np.asarray(g, dtype=float), out=out)
+    return np.divide(num, tau_time + tau, out=out)

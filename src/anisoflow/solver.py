@@ -25,6 +25,19 @@ so the unit bounds on the block-1 part and on v0 are untouched.
 The iterated dual pair (z, v0) is the one returned: z the vector field
 and v0 the weak normal flux on the penalized faces, with A*(z, v0) =
 div z + scatter(v0).
+
+Each solve allocates one workspace up front: the iterates u, z and v0,
+the extrapolated point, the gradient stack, the divergence and its
+axis-term scratch, and the boundary restriction and scatter buffers.
+The iteration runs in place on it, with u and its successor swapped by
+reference, and calls each kernel with ``out=``; what still allocates
+per iteration is the Newton power prox (p != 2), the product sigma * g
+in the resolvent prox, and face-sized terms of the scatter at
+non-unit spacing.  Every floating-point operation is the one the
+allocating kernels perform, in the same order, so iterates,
+certificates and iteration counts are bit for bit those of the
+allocating form.  Because the buffers are overwritten, the tracker
+copies every point it keeps.
 """
 
 from __future__ import annotations
@@ -90,14 +103,14 @@ class SolveOptions:
 class DualState:
     """A dual point for :func:`duality_gap`.
 
-    ``v0`` is the boundary flux as solves return it, on the penalized
-    faces, and absent (None) under neumann_block1.  ``v_blocks`` is -z,
-    one component per axis, for a solve's vector field z.  Feasibility:
-    per-cell dual norm of the block-1 part and |v0| both at most 1.
+    ``v0`` is the boundary flux and ``z`` the vector field, both as
+    solves return them; ``v0`` is absent (None) under neumann_block1.
+    Feasibility: per-cell dual norm of the block-1 part of z and |v0|
+    both at most 1.
     """
 
     v0: np.ndarray | None
-    v_blocks: np.ndarray
+    z: np.ndarray
 
 
 @dataclass
@@ -140,13 +153,21 @@ def estimate_opnorm(spec: GridSpec) -> float:
     ghost-closed power axis), so no iterate vanishes.
     """
     x = np.random.default_rng(_OPNORM_SEED).standard_normal(spec.dims)
+    g = np.empty((spec.ndim,) + spec.dims)
+    y = np.empty(spec.dims)
+    tmp = np.empty(spec.dims)
+    if spec.has_trace_term:
+        trace = np.empty(boundary_face_count(spec))
+        spread = np.empty(spec.dims)
     for _ in range(_OPNORM_ITERS):
-        y = _div_impl(-_grad_impl(x, spec), spec)
+        _grad_impl(x, spec, out=g)
+        g *= -1.0
+        _div_impl(g, spec, out=y, scratch=tmp)
         if spec.has_trace_term:
-            y += _scatter_impl(_restrict_impl(x, spec), spec)
+            y += _scatter_impl(_restrict_impl(x, spec, out=trace), spec, out=spread)
         nrm = float(np.sqrt(np.vdot(y, y).real * spec.cell_volume))
         lam = float(np.vdot(x, y).real * spec.cell_volume)
-        x = y / nrm
+        np.divide(y, nrm, out=x)
     return 1.01 * float(np.sqrt(lam))
 
 
@@ -228,7 +249,8 @@ class _Tracker:
     the certified gap never increases between checks.  Each check logs
     (iteration, gap, conjugate bracket, source bracket): the brackets
     realize the eps-subdifferentiability of the certified pair, both
-    nonnegative up to roundoff and summing exactly to the gap.
+    nonnegative up to roundoff and summing exactly to the gap.  The
+    iteration overwrites its buffers, so every kept point is a copy.
     """
 
     def __init__(self, prob, u, y, v0):
@@ -260,12 +282,11 @@ class _Tracker:
         for u_c in u_cands:
             bd = prob.primal(u_c)
             if self.primal is None or bd.total < self.primal[0].total:
-                self.primal = (bd, u_c)
+                self.primal = (bd, u_c.copy())
         for y_c, v0_c in d_cands:
             value, y_c = prob.dual(y_c, v0_c)
             if self.dual is None or value > self.dual[0]:
-                # the iteration updates y in place
-                self.dual = (value, y_c.copy(), v0_c)
+                self.dual = (value, y_c.copy(), None if v0_c is None else v0_c.copy())
         bd, u_w = self.primal
         value, y_w, v0_w = self.dual
         gap = bd.total - value
@@ -292,6 +313,7 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
             f"(sigma = {sigma}); rescale the grid"
         )
 
+    # The workspace: one buffer per iterate and per full-size intermediate.
     u = np.zeros(spec.dims) if u_init is None else check_scalar_field(u_init, spec).copy()
     y = np.zeros((spec.ndim,) + spec.dims) if y_init is None else check_vector_field(y_init, spec).copy()
     if prob.trace:
@@ -299,32 +321,48 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
             v0 = np.zeros(boundary_face_count(spec))
         else:
             v0 = check_boundary_field(v0_init, spec, name="v0_init").copy()
+        trace = np.empty(v0.shape)  # the step on v0
+        spread = np.empty(spec.dims)  # its scatter onto the cells
     else:
         v0 = None
     ubar = u.copy()
+    u_new = np.empty(spec.dims)
+    step = np.empty((spec.ndim,) + spec.dims)  # y + sigma * grad ubar
+    w = np.empty(spec.dims)  # u + sigma * A*(y, v0)
+    tmp = np.empty(spec.dims)  # axis terms of the divergence
+    n1 = prob.n1
 
     track = _Tracker(prob, u, y, v0)
     it = 0
     converged = track.check(0, u, y, v0)
     while not converged and it < opts.max_iter:
         it += 1
-        grads_bar = _grad_impl(ubar, spec)
+        _grad_impl(ubar, spec, out=step)
         if prob.trace:
-            v0 = project_interval(v0 - sigma * _restrict_impl(ubar, spec))
-        y1 = y[: prob.n1] + sigma * grads_bar[: prob.n1]
+            _restrict_impl(ubar, spec, out=trace)
+            trace *= sigma
+            np.subtract(v0, trace, out=trace)
+            project_interval(trace, out=v0)
+        step *= sigma
+        step += y
         if opts.tv_norm == "euclidean":
-            y[: prob.n1] = project_ball(y1)
+            project_ball(step[:n1], out=y[:n1])
         else:
-            y[: prob.n1] = project_interval(y1)
+            project_interval(step[:n1], out=y[:n1])
         for sl, _p, q in prob.power:
-            y[sl] = prox_power_conj_radial(y[sl] + sigma * grads_bar[sl], sigma, q)
-        w = prob.adjoint(y, v0)
-        u_old = u
+            prox_power_conj_radial(step[sl], sigma, q, out=y[sl])
+        _div_impl(y, spec, out=w, scratch=tmp)
+        if prob.trace:
+            w += _scatter_impl(v0, spec, out=spread)
+        w *= sigma
+        w += u
         if kind == "elliptic":
-            u = prox_primal_linear(u + sigma * w, sigma, prob.f)
+            prox_primal_linear(w, sigma, prob.f, out=u_new)
         else:
-            u = prox_primal_quadratic(u + sigma * w, sigma, prob.g, prob.tau_time)
-        ubar = u + (u - u_old)
+            prox_primal_quadratic(w, sigma, prob.g, prob.tau_time, out=u_new)
+        np.subtract(u_new, u, out=ubar)
+        ubar += u_new
+        u, u_new = u_new, u
         track.add(u, y, v0)
         if it % opts.residual_check_every == 0 or it == opts.max_iter:
             converged = track.check(it, u, y, v0)
@@ -418,10 +456,9 @@ def duality_gap(u, dual: DualState, data, spec: GridSpec, problem_kind: str,
         raise InvalidInputError(f"problem_kind must be one of {PROBLEM_KINDS}")
     u = check_scalar_field(u, spec)
     data = check_scalar_field(data, spec, name="data")
-    v = check_vector_field(dual.v_blocks, spec, name="v_blocks")
+    y = check_vector_field(dual.z, spec, name="z")
     opts = SolveOptions(tv_norm=tv_norm)
     prob = _Problem(problem_kind, data, spec, tau_time, opts)
-    y = -v
     v0 = None
     if prob.trace:
         if dual.v0 is None:

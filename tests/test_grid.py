@@ -5,6 +5,10 @@ import pytest
 
 from anisoflow import GridSpec, InvalidInputError
 from anisoflow.grid import (
+    _div_impl,
+    _grad_impl,
+    _restrict_impl,
+    _scatter_impl,
     boundary_face_count,
     boundary_faces,
     boundary_restriction,
@@ -217,6 +221,107 @@ class TestBoundary:
         spec = make_spec("neumann_block1")
         z = np.ones((2, 4, 4))
         np.testing.assert_array_equal(sampled_normal_trace(z, spec), 0.0)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def assert_bitwise(actual, expected):
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(_bits(actual), _bits(expected))
+
+
+def _ref_grad(u, spec):
+    # per-axis forward differences, written out as np.diff
+    parts = []
+    for a in range(spec.ndim):
+        h, ghost = spec.spacing[a], a >= spec.blocks[0]
+        g = np.zeros_like(u)
+        g[(slice(None),) * a + (slice(None, -1),)] = np.diff(u, axis=a) / h
+        if ghost:
+            g[(slice(None),) * a + (-1,)] = -u[(slice(None),) * a + (-1,)] / h
+        parts.append(g)
+    return np.stack(parts)
+
+
+def _ref_div(z, spec):
+    total = None
+    for a in range(spec.ndim):
+        h, ghost = spec.spacing[a], a >= spec.blocks[0]
+        d = z[a].copy()
+        if not ghost:
+            d[(slice(None),) * a + (-1,)] = 0.0
+        d[(slice(None),) * a + (slice(1, None),)] -= z[a][(slice(None),) * a + (slice(None, -1),)]
+        d = d / h
+        total = d if total is None else total + d
+    return total
+
+
+def _ref_restrict(u, spec):
+    parts = []
+    for a, s in boundary_faces(spec):
+        parts.append(u[(slice(None),) * a + (0 if s == 0 else -1,)].ravel())
+    return np.concatenate(parts)
+
+
+def _ref_scatter(w, spec):
+    out = np.zeros(spec.dims)
+    pos = 0
+    for a, s in boundary_faces(spec):
+        sl = (slice(None),) * a + (0 if s == 0 else -1,)
+        n = out[sl].size
+        out[sl] += w[pos : pos + n].reshape(out[sl].shape) / spec.spacing[a]
+        pos += n
+    return out
+
+
+class TestKernelBuffers:
+    """The out= forms write every slot and match the allocating forms bitwise.
+
+    Buffers start as NaN, so a slot the kernel never writes shows.  The
+    last axis runs over widths 2..17; width 8 gives 64-byte strides on
+    its last-column views.
+    """
+
+    @pytest.mark.parametrize("mode", ["dirichlet_penalized", "neumann_block1"])
+    @pytest.mark.parametrize("h", [1.0, 0.5, (2.0, 0.5)])
+    def test_out_forms_match_reference(self, mode, h):
+        rng = np.random.default_rng(6)
+        for lead, blocks in [((3,), (1, 1)), ((3, 4), (1, 2)), ((2, 3), (2, 1))]:
+            for n in range(2, 18):
+                dims = lead + (n,)
+                if isinstance(h, tuple):
+                    spacing = tuple(h[i % 2] for i in range(len(dims)))
+                else:
+                    spacing = (h,) * len(dims)
+                exps = (1.0,) + (2.0,) * (len(blocks) - 1)
+                spec = GridSpec(dims, spacing, blocks, exps, boundary_mode=mode)
+                u = rng.standard_normal(dims)
+                z = rng.standard_normal((spec.ndim,) + dims)
+                w = rng.standard_normal(boundary_face_count(spec))
+                nan = np.full((spec.ndim,) + dims, np.nan)
+                buf = nan.copy()
+                g = _grad_impl(u, spec, out=buf)
+                assert g is buf
+                assert_bitwise(g, _grad_impl(u, spec))
+                assert_bitwise(g, _ref_grad(u, spec))
+                buf = nan[0].copy()
+                d = _div_impl(z, spec, out=buf, scratch=nan[0].copy())
+                assert d is buf
+                assert_bitwise(d, _div_impl(z, spec))
+                assert_bitwise(d, _ref_div(z, spec))
+                buf = np.full(w.shape, np.nan)
+                r = _restrict_impl(u, spec, out=buf)
+                assert r is buf
+                assert_bitwise(r, _restrict_impl(u, spec))
+                if w.size:
+                    assert_bitwise(r, _ref_restrict(u, spec))
+                buf = nan[0].copy()
+                sc = _scatter_impl(w, spec, out=buf)
+                assert sc is buf
+                assert_bitwise(sc, _scatter_impl(w, spec))
+                assert_bitwise(sc, _ref_scatter(w, spec))
 
 
 class TestGaussGreen:

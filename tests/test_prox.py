@@ -142,3 +142,76 @@ class TestPrimalProx:
     def test_quadratic_requires_positive_tau_time(self):
         with pytest.raises(InvalidInputError):
             prox_primal_quadratic(np.zeros(2), 1.0, np.zeros(2), 0.0)
+
+
+class TestScalarParameters:
+    """Bad scalar parameters raise instead of returning NaN or garbage."""
+
+    @pytest.mark.parametrize(
+        "tau, tau_time",
+        [(1.0, np.nan), (1.0, np.inf), (np.nan, 0.1), (-0.5, 0.1), (np.inf, 0.1)],
+    )
+    def test_quadratic_prox(self, tau, tau_time):
+        with pytest.raises(InvalidInputError):
+            prox_primal_quadratic(np.ones(2), tau, np.zeros(2), tau_time)
+
+    @pytest.mark.parametrize("tau", [np.nan, -0.5, np.inf])
+    def test_linear_prox(self, tau):
+        with pytest.raises(InvalidInputError):
+            prox_primal_linear(np.ones(2), tau, np.ones(2))
+
+    @pytest.mark.parametrize(
+        "sigma, q", [(np.nan, 3.0), (1.0, np.nan), (np.inf, 3.0), (1.0, np.inf)]
+    )
+    def test_power_prox(self, sigma, q):
+        v = np.array([1.0, 2.0])
+        with pytest.raises(InvalidInputError):
+            prox_power_conj(v, sigma, q)
+        with pytest.raises(InvalidInputError):
+            prox_power_conj_radial(v[:, None], sigma, q)
+
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, np.nan])
+    def test_ball_radius(self, radius):
+        with pytest.raises(InvalidInputError, match="radius"):
+            project_ball(np.ones((2, 1)), radius=radius)
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, -1.0), (np.nan, 1.0), (-1.0, np.nan)])
+    def test_interval_bounds(self, lo, hi):
+        with pytest.raises(InvalidInputError, match="lo <= hi"):
+            project_interval(np.ones(3), lo, hi)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestOutBuffers:
+    """out= writes every entry and matches the allocating call and the
+    closed-form expression bit for bit."""
+
+    def test_projections(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 3):
+            v = 2.0 * rng.standard_normal((n, 7, 9))
+            for radius in (1.0, 0.7):
+                ref = v / np.maximum(np.sqrt(np.sum(v * v, axis=0, keepdims=True)) / radius, 1.0)
+                out = project_ball(v, radius, out=np.full(v.shape, np.nan))
+                np.testing.assert_array_equal(_bits(out), _bits(ref))
+                np.testing.assert_array_equal(_bits(project_ball(v, radius)), _bits(ref))
+            out = project_interval(v, out=np.full(v.shape, np.nan))
+            np.testing.assert_array_equal(_bits(out), _bits(np.clip(v, -1.0, 1.0)))
+
+    def test_primal_and_radial(self):
+        rng = np.random.default_rng(9)
+        u, f = rng.standard_normal((2, 6, 5))
+        w = rng.standard_normal((2, 6, 5))
+        cases = [
+            (prox_primal_linear, (u, 0.3, f), u + 0.3 * f),
+            (prox_primal_quadratic, (u, 0.3, f, 0.1), (0.1 * u + 0.3 * f) / (0.1 + 0.3)),
+            (prox_power_conj_radial, (w, 0.3, 2.0), w / (1.0 + 0.3)),
+            (prox_power_conj_radial, (w, 0.3, 3.0), prox_power_conj_radial(w, 0.3, 3.0)),
+        ]
+        for fn, args, ref in cases:
+            out = fn(*args, out=np.full(ref.shape, np.nan))
+            np.testing.assert_array_equal(_bits(out), _bits(ref))
+            np.testing.assert_array_equal(_bits(fn(*args)), _bits(ref))

@@ -9,6 +9,8 @@ from anisoflow.grid import boundary_face_count
 from anisoflow.solver import (
     DualState,
     SolveOptions,
+    _Problem,
+    _Tracker,
     duality_gap,
     estimate_opnorm,
     solve_elliptic,
@@ -32,7 +34,7 @@ DIR = GridSpec(
 
 
 def zero_dual(spec, v0=None):
-    return DualState(v0=v0, v_blocks=np.zeros((spec.ndim,) + spec.dims))
+    return DualState(v0=v0, z=np.zeros((spec.ndim,) + spec.dims))
 
 
 class TestOptions:
@@ -227,15 +229,39 @@ class TestResolvent:
         assert lhs <= eval_F(g, NEU).total + res.report.final_gap + 1e-12
 
 
+class TestTracker:
+    def test_kept_points_are_copies(self):
+        # the iteration overwrites its buffers after every check
+        rng = np.random.default_rng(12)
+        cases = (("elliptic", np.ones((8, 8))), ("resolvent", rng.standard_normal((8, 8))))
+        for kind, data in cases:
+            prob = _Problem(kind, data, DIR, 0.1, SolveOptions())
+            u = 0.1 * rng.standard_normal((8, 8))
+            y = np.clip(rng.standard_normal((2, 8, 8)), -0.5, 0.5)
+            v0 = np.clip(rng.standard_normal(boundary_face_count(DIR)), -1.0, 1.0)
+            track = _Tracker(prob, u, y, v0)
+            track.check(0, u, y, v0)
+            track.add(u, y, v0)
+            track.check(1, u, y, v0)
+            kept_u = track.primal[1].copy()
+            kept_y, kept_v0 = (a.copy() for a in track.dual[1:])
+            for buf in (u, y, v0):
+                buf.fill(7.0)
+            np.testing.assert_array_equal(track.primal[1], kept_u)
+            np.testing.assert_array_equal(track.dual[1], kept_y)
+            np.testing.assert_array_equal(track.dual[2], kept_v0)
+            assert not np.array_equal(kept_u, u) and not np.array_equal(kept_v0, v0)
+
+
 class TestDualityGap:
     def test_infeasible_dual_rejected(self):
         y = np.full((2, 8, 8), 5.0)
-        dual = DualState(v0=None, v_blocks=y)
+        dual = DualState(v0=None, z=y)
         with pytest.raises(InvalidStateError):
             duality_gap(np.zeros((8, 8)), dual, np.ones((8, 8)), NEU, "elliptic")
 
     def test_zero_pair_closes_zero_problem(self):
-        dual = DualState(v0=None, v_blocks=np.zeros((2, 8, 8)))
+        dual = DualState(v0=None, z=np.zeros((2, 8, 8)))
         gap = duality_gap(np.zeros((8, 8)), dual, np.zeros((8, 8)), NEU, "elliptic")
         assert gap == 0.0
 
@@ -258,15 +284,15 @@ class TestDualityGap:
             duality_gap(np.zeros(6), zero_dual(spec), np.ones(6), spec, "elliptic")
 
     def test_unknown_problem_kind_rejected(self):
-        dual = DualState(v0=None, v_blocks=np.zeros((2, 8, 8)))
+        dual = DualState(v0=None, z=np.zeros((2, 8, 8)))
         with pytest.raises(InvalidInputError):
             duality_gap(np.zeros((8, 8)), dual, np.zeros((8, 8)), NEU, "parabolic")
 
     def test_reproduces_solver_report(self):
-        # v_blocks is -z; v0 is the boundary flux as the solve returns it
+        # z and v0 as the solve returns them
         opts = SolveOptions(gap_tol=1e-9)
         for spec in (NEU, DIR):
             res = solve_elliptic(np.ones((8, 8)), spec, opts)
-            dual = DualState(v0=res.v0, v_blocks=-res.z)
+            dual = DualState(v0=res.v0, z=res.z)
             gap = duality_gap(res.u, dual, np.ones((8, 8)), spec, "elliptic")
             assert gap == pytest.approx(res.report.final_gap, rel=1e-9, abs=1e-13)
