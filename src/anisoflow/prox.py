@@ -1,7 +1,9 @@
 """Proximal and projection kernels used by the saddle-point iteration.
 
-All kernels act elementwise (or per-cell on vector magnitudes), are
-firmly nonexpansive, and are exact up to the stated Newton tolerance.
+All kernels act elementwise (or per-cell on vector magnitudes) and are
+firmly nonexpansive.  All are closed-form except the power prox at
+conjugate exponents other than 2, 3 and 3/2, which is exact up to the
+stated Newton tolerance.
 Their scalar parameters are checked, never their arrays.  Where a
 kernel takes ``out``, the result written there is bit for bit the one
 it allocates without it.
@@ -15,8 +17,9 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
 
-# Scalar-solve controls of the power prox: the residual tolerance,
-# relative to 1 + |v|, and the Newton iteration budget.
+# Controls of the power prox's Newton branch: the tolerance on the
+# residual, relative to 1 + |v| (on the Moreau dual, after scaling by
+# sigma), which bounds the error in x; and the iteration budget.
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 50
 
@@ -61,13 +64,82 @@ def _check_power_params(sigma, q):
         raise InvalidInputError(f"sigma must be nonnegative and finite, got {sigma!r}")
 
 
+def _monotone_newton(b, c: float, r: float, tol) -> np.ndarray:
+    """Root y >= 0 of y + c y^r = b (b >= 0, c > 0, r > 1), elementwise.
+
+    The left side is convex and increasing in y, so Newton started from
+    the upper bound min(b, (b/c)^(1/r)) descends monotonically onto the
+    root and never overflows.  A cell leaves after the step it takes at
+    a residual of at most ``tol``, or once a step no longer lowers it:
+    it then sits within an ulp of the root, and at very large r one ulp
+    of y moves c y^r by more than ``tol``.  Raises NumericalFailureError
+    when a cell still iterates after the budget.
+    """
+    shape = np.shape(b)
+    b, tol = np.ravel(b), np.ravel(tol)
+    y = np.minimum(b, (b / c) ** (1.0 / r))
+    idx = np.arange(y.size)  # the cells still iterating
+    for _ in range(_NEWTON_MAX_ITER):
+        yk = y[idx]
+        ym = yk ** (r - 1.0)
+        res = yk + c * (ym * yk) - b[idx]
+        step = yk - res / (1.0 + (c * r) * ym)
+        down = step < yk
+        y[idx] = np.where(down, step, yk)
+        idx = idx[down & (res > tol[idx])]
+        if idx.size == 0:
+            return y.reshape(shape)
+    yk = y[idx]
+    res = yk + c * yk ** r - b[idx]
+    raise NumericalFailureError(
+        f"power prox Newton did not reach tolerance after {_NEWTON_MAX_ITER} iterations",
+        residual=float(np.max(res)),
+    )
+
+
+def _newton_root(a, sigma: float, q: float) -> np.ndarray:
+    """The root x >= 0 of x + sigma x^{q-1} = a (sigma > 0) by monotone Newton.
+
+    For q < 2, where that equation's slope is infinite at 0, Newton runs
+    on its Moreau dual, whose exponent p - 1 exceeds 1.
+    """
+    tol = _NEWTON_TOL * (1.0 + a)
+    if q >= 2.0:
+        return _monotone_newton(a, sigma, q - 1.0, tol)
+    y = _monotone_newton(a / sigma, 1.0 / sigma, 1.0 / (q - 1.0), tol / sigma)
+    return np.maximum(a - sigma * y, 0.0)  # sigma * y can round above a
+
+
+def _shrink_factor(a, sigma: float, q: float) -> np.ndarray:
+    """x / a for the root x >= 0 of x + sigma x^{q-1} = a (sigma > 0, q != 2).
+
+    The quotients at q = 3 and q = 3/2 are closed-form and finite at
+    a = 0, so they need no guard.  Other q take the Newton root; there a
+    cell with a = 0 gets 0.
+    """
+    if q == 3.0:
+        return 2.0 / (1.0 + np.sqrt(1.0 + 4.0 * sigma * a))
+    if q == 1.5:
+        d = sigma + np.sqrt(sigma * sigma + 4.0 * a)
+        return 4.0 * a / (d * d)
+    return np.divide(_newton_root(a, sigma, q), a, out=np.zeros(np.shape(a)), where=a > 0)
+
+
 def prox_power_conj(v, sigma: float, p_conj: float) -> np.ndarray:
     """Prox of sigma/q * |.|^q with q = p_conj, elementwise.
 
-    Solves x + sigma x^{q-1} = |v| for x >= 0 and returns the root with
-    the sign of v.  q = 2 is closed-form; otherwise a Newton iteration
-    safeguarded by bisection on [0, |v|] runs until
-    |x + sigma x^{q-1} - |v|| <= 1e-12 * (1 + |v|).
+    Returns the root x >= 0 of x + sigma x^{q-1} = |v| with the sign of
+    v.  q = 2 is a linear shrink; q = 3 and q = 3/2 (p = 3/2 and p = 3)
+    are the quadratic roots x = 2|v|/(1 + sqrt(1 + 4 sigma |v|)) and
+    x = s^2, s = 2|v|/(sigma + sqrt(sigma^2 + 4|v|)).  Every other q runs
+    Newton on an equation y + c y^r = b with r > 1: for q > 2 the one
+    above; for q < 2, whose equation has infinite slope at 0, its Moreau
+    dual y + y^{p-1}/sigma = |v|/sigma with p = q/(q - 1), and then
+    x = |v| - sigma y.  Started from the upper bound min(b, (b/c)^(1/r)),
+    Newton descends monotonically onto the root, with no bracket.  It
+    takes one more step once the residual (the dual one scaled by sigma)
+    is within 1e-12 * (1 + |v|), and stops there or where y stops
+    falling; the error in x is then within the same bound.
     """
     q = p_conj
     _check_power_params(sigma, q)
@@ -77,39 +149,7 @@ def prox_power_conj(v, sigma: float, p_conj: float) -> np.ndarray:
         return v.copy()
     if q == 2.0:
         return v / (1.0 + sigma)
-
-    # Vectorized guarded Newton; the residual is increasing in x, so the
-    # bracket [lo, hi] always contains the root.
-    lo = np.zeros_like(av)
-    hi = av.copy()
-    x = av / (1.0 + sigma)
-    tol = _NEWTON_TOL * (1.0 + av)
-    done = av == 0.0
-    for _ in range(_NEWTON_MAX_ITER):
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            xa = np.where(x > 0, x, 1.0)
-            res = x + sigma * xa ** (q - 1.0) * (x > 0) - av
-            done |= np.abs(res) <= tol
-            if done.all():
-                break
-            lo = np.where(res < 0, x, lo)
-            hi = np.where(res > 0, x, hi)
-            slope = 1.0 + sigma * (q - 1.0) * xa ** (q - 2.0)
-            step = x - res / slope
-        x = np.where(done, x, np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi)))
-    else:
-        with np.errstate(invalid="ignore", over="ignore"):
-            xa = np.where(x > 0, x, 1.0)
-            res = x + sigma * xa ** (q - 1.0) * (x > 0) - av
-        bad = np.abs(res) > tol
-        if bad.any():
-            worst = float(np.max(np.abs(res[bad])))
-            raise NumericalFailureError(
-                f"power prox Newton did not reach tolerance after "
-                f"{_NEWTON_MAX_ITER} iterations",
-                residual=worst,
-            )
-    return np.sign(v) * x
+    return v * _shrink_factor(av, sigma, q)
 
 
 def prox_power_conj_radial(
@@ -125,11 +165,10 @@ def prox_power_conj_radial(
     if p_conj == 2.0 and sigma > 0:
         # magnitude shrink is linear, so it commutes with the direction
         return np.divide(w, 1.0 + sigma, out=out)
+    if sigma == 0.0:
+        return np.multiply(w, 1.0, out=out)
     mags = np.sqrt(np.sum(w * w, axis=0))
-    new_mags = prox_power_conj(mags, sigma, p_conj)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(mags > 0, new_mags / np.where(mags > 0, mags, 1.0), 0.0)
-    return np.multiply(w, scale, out=out)
+    return np.multiply(w, _shrink_factor(mags, sigma, p_conj), out=out)
 
 
 def _check_step(tau):

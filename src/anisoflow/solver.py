@@ -31,13 +31,14 @@ the extrapolated point, the gradient stack, the divergence and its
 axis-term scratch, and the boundary restriction and scatter buffers.
 The iteration runs in place on it, with u and its successor swapped by
 reference, and calls each kernel with ``out=``; what still allocates
-per iteration is the Newton power prox (p != 2), the product sigma * g
-in the resolvent prox, and face-sized terms of the scatter at
-non-unit spacing.  Every floating-point operation is the one the
-allocating kernels perform, in the same order, so iterates,
-certificates and iteration counts are bit for bit those of the
-allocating form.  Because the buffers are overwritten, the tracker
-copies every point it keeps.
+per iteration is the radial power prox at p != 2 (the cell magnitudes
+and their shrink factors, plus the Newton iterates at p other than 3/2
+and 3), the product sigma * g in the resolvent prox, and face-sized
+terms of the scatter at non-unit spacing.  Every floating-point
+operation is the one the allocating kernels perform, in the same
+order, so iterates, certificates and iteration counts are bit for bit
+those of the allocating form.  Because the buffers are overwritten,
+the tracker copies every point it keeps.
 """
 
 from __future__ import annotations

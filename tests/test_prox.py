@@ -42,7 +42,8 @@ class TestProjections:
 
 class TestPowerConjProx:
     def test_cubic_case_has_unit_root(self):
-        # x + x^2 = 2 has the root x = 1, hit exactly by the start guess
+        # x + x^2 = 2 has the root x = 1: the closed form 2a/(1 + sqrt(1 + 4a))
+        # gives 2 * 2/(1 + 3), exactly 1
         assert float(prox_power_conj(2.0, 1.0, 3.0)) == 1.0
 
     def test_quadratic_case_closed_form(self):
@@ -57,6 +58,9 @@ class TestPowerConjProx:
     def test_zero_sigma_is_identity(self):
         v = np.array([1.0, -2.0])
         np.testing.assert_array_equal(prox_power_conj(v, 0.0, 3.0), v)
+        w = np.array([[1.0, 0.0], [-2.0, 0.0]])
+        for q in (3.0, 1.5, 4.0):
+            np.testing.assert_array_equal(prox_power_conj_radial(w, 0.0, q), w)
 
     def test_residual_meets_tolerance(self):
         rng = np.random.default_rng(1)
@@ -66,6 +70,37 @@ class TestPowerConjProx:
                 x = np.abs(prox_power_conj(v, sigma, q))
                 res = x + sigma * x ** (q - 1.0) - np.abs(v)
                 assert np.max(np.abs(res)) <= 1e-12 * (1.0 + np.max(np.abs(v)))
+
+    @pytest.mark.parametrize("p", [1.0 + 1e-6, 1.01, 1.1, 1.5, 2.5, 3.0, 4.0, 10.0, 100.0, 1e6])
+    def test_error_within_tolerance(self, p):
+        # Checked on the error in x, which for q >= 2 the residual
+        # x + sigma x^{q-1} - |v| bounds (its slope is at least 1).  For
+        # q < 2 the slope is infinite at 0 and the residual of even the
+        # correctly rounded root can be |v|: at p = 100, sigma = 1e3 and
+        # |v| = 1e-8 the root 1e-1089 rounds to 0.  p = 1e6 and 1 + 1e-6
+        # are the ends of GridSpec's range.
+        q = p / (p - 1.0)
+        rng = np.random.default_rng(5)
+        for sigma in (1e-3, 1.0, 1e3):
+            for scale in (1e-8, 1e-5, 1e-2, 1.0, 1e1, 1e3):
+                v = scale * rng.standard_normal(200)
+                x = prox_power_conj(v, sigma, q)
+                assert np.array_equal(np.sign(x[x != 0]), np.sign(v[x != 0]))
+                err = np.abs(np.abs(x) - _reference_root(np.abs(v), sigma, q))
+                assert np.max(err / (1.0 + np.abs(v))) <= 1e-12
+
+    @pytest.mark.parametrize("q", [3.0, 1.5])
+    def test_closed_forms_match_newton(self, q):
+        rng = np.random.default_rng(6)
+        a = np.abs(np.concatenate([s * rng.standard_normal(100) for s in (1e-8, 1e-3, 1.0, 1e3)]))
+        for sigma in (1e-3, 1.0, 1e3):
+            closed = prox_power_conj(a, sigma, q)
+            newton = prox._newton_root(a, sigma, q)
+            assert np.max(np.abs(newton - closed) / (1.0 + a)) <= 1e-12
+            if q == 3.0:
+                # q = 3/2 runs Newton through the Moreau dual, whose
+                # x = |v| - sigma y cancels where x << |v|
+                np.testing.assert_allclose(newton, closed, rtol=1e-12, atol=0.0)
 
     def test_firm_nonexpansiveness(self):
         # <prox a - prox b, a - b> >= ||prox a - prox b||^2
@@ -91,6 +126,18 @@ class TestPowerConjProx:
         with pytest.raises(NumericalFailureError) as err:
             prox_power_conj(np.linspace(1.0, 50.0, 64), 2.0, 4.0)
         assert err.value.residual > 0
+
+
+def _reference_root(a, sigma, q):
+    """Root of x + sigma x^{q-1} = a by long-double bisection on [0, a]."""
+    a = np.asarray(a, dtype=np.longdouble)
+    lo, hi = np.zeros_like(a), a.copy()
+    with np.errstate(over="ignore"):
+        for _ in range(120):
+            mid = 0.5 * (lo + hi)
+            below = mid + sigma * mid ** np.longdouble(q - 1.0) < a
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return (0.5 * (lo + hi)).astype(float)
 
 
 class TestRadial:
@@ -121,6 +168,14 @@ class TestRadial:
     def test_zero_vector_stays_zero(self):
         w = np.zeros((2, 5))
         np.testing.assert_array_equal(prox_power_conj_radial(w, 1.0, 3.0), 0.0)
+
+    @pytest.mark.parametrize("q", [3.0, 1.5, 4.0, 5.0 / 3.0])
+    def test_zero_cells_stay_zero(self, q):
+        w = np.zeros((2, 6))
+        w[:, 3:] = [[1.0, -2.0, 0.5], [0.0, 3.0, -1.5]]
+        out = prox_power_conj_radial(w, 0.7, q)
+        np.testing.assert_array_equal(out[:, :3], 0.0)
+        assert np.all(np.abs(out[:, 3:]).sum(axis=0) > 0.0)
 
 
 class TestPrimalProx:
@@ -205,11 +260,14 @@ class TestOutBuffers:
         rng = np.random.default_rng(9)
         u, f = rng.standard_normal((2, 6, 5))
         w = rng.standard_normal((2, 6, 5))
+        w[:, 2, 1] = 0.0
         cases = [
             (prox_primal_linear, (u, 0.3, f), u + 0.3 * f),
             (prox_primal_quadratic, (u, 0.3, f, 0.1), (0.1 * u + 0.3 * f) / (0.1 + 0.3)),
             (prox_power_conj_radial, (w, 0.3, 2.0), w / (1.0 + 0.3)),
-            (prox_power_conj_radial, (w, 0.3, 3.0), prox_power_conj_radial(w, 0.3, 3.0)),
+        ] + [
+            (prox_power_conj_radial, (w, 0.3, q), prox_power_conj_radial(w, 0.3, q))
+            for q in (3.0, 1.5, 4.0, 5.0 / 3.0)
         ]
         for fn, args, ref in cases:
             out = fn(*args, out=np.full(ref.shape, np.nan))

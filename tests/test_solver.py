@@ -151,6 +151,16 @@ class TestElliptic:
         assert parts == pytest.approx(rep.final_gap, rel=0.0, abs=tol)
         assert rep.gap_history[-1][2] == pytest.approx(rep.final_gap, rel=0.0, abs=tol)
 
+    @pytest.mark.parametrize("p", [4.0, 10.0])
+    def test_large_exponent_certifies(self, p):
+        # q = p/(p-1) <= 4/3: the conjugate equation has infinite slope at
+        # 0, so the power prox solves its Moreau dual
+        spec = GridSpec((8, 8), (1.0, 1.0), (1, 1), (1.0, p), "dirichlet_penalized")
+        rep = solve_elliptic(np.ones(spec.dims), spec).report
+        assert rep.converged
+        assert rep.final_gap <= 1e-8 * (1.0 + abs(rep.primal_value))
+        assert rep.certificate.divergence_residual <= 1e-12 * (1.0 + abs(rep.primal_value))
+
     def test_neumann_mode_has_no_boundary_dual(self):
         res = solve_elliptic(np.ones((8, 8)), NEU, SolveOptions(gap_tol=1e-6))
         assert res.v0 is None
