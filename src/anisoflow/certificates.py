@@ -17,7 +17,7 @@ values; it is a reporting tool.  The same function records the exact
 nonnegative bookkeeping terms (pairing slack, per-block Young slack,
 boundary slack) whose sum is bounded by the duality gap of a certified
 solve, and equals it when div z + rhs = 0 holds exactly, as it does for
-the solver's elliptic dual.  Large residuals therefore always point at
+the pairs both solves return.  Large residuals therefore always point at
 a genuine violation.
 """
 
@@ -105,7 +105,8 @@ def _gap_terms(u, z, flux, spec: GridSpec, tv_norm: str) -> _GapTerms:
         gb, zb = g[sl], z[sl]
         gm = np.sqrt(np.sum(gb * gb, axis=0))
         zm = np.sqrt(np.sum(zb * zb, axis=0))
-        young.append(float(np.sum(gm**p / p + zm**q / q - np.sum(zb * gb, axis=0))) * vol)
+        with np.errstate(over="ignore"):  # at large p or q, inf is the value
+            young.append(float(np.sum(gm**p / p + zm**q / q - np.sum(zb * gb, axis=0))) * vol)
     if spec.has_trace_term:
         tr = _restrict_impl(u, spec)
         sign = np.abs(tr) + flux * tr

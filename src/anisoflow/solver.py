@@ -5,22 +5,35 @@ Both problems minimize E(Au) + G(u) where A stacks the boundary trace
 total-variation, boundary, and power terms, and G is the source term
 (elliptic) or the implicit-Euler coupling (resolvent).  The iteration is
 the primal-dual scheme of Chambolle and Pock: dual ascent through the
-conjugate proxes, primal descent through the G prox, extrapolation with
-factor 1, and one step size sigma = 1/L for both, where L is 1.01 times
-a power-iteration estimate of ||A|| so that sigma^2 * ||A||^2 < 1.
-The power iteration has a fixed length and start, so L depends on the
-grid alone and no solve depends on a seed.
+conjugate proxes, primal descent through the G prox, and extrapolation
+with factor 1.  The base step is sigma = 1/L, where L is 1.01 times a
+power-iteration estimate of ||A||.  The power iteration has a fixed
+length and start, so L depends on the grid alone and no solve depends
+on a seed.  The dual step is omega * sigma and the primal step
+sigma / omega, so their product stays sigma^2 and sigma^2 * ||A||^2 < 1
+holds for every primal weight omega.  Elliptic solves keep omega = 1.
+A resolvent starts at omega = 1 and, at each check that does not
+certify, moves log omega halfway towards log(|d(z, v0)| / |du|), the
+movements of the iterate since the previous check in the volume- and
+face-weighted norms (the primal weight of Applegate et al., NeurIPS
+2021).  A zero movement, or a new weight that is not finite and
+positive, leaves omega as it is.
 
 Convergence is declared only through the certified gap: the primal
-value at the iterate minus a dual value that is a true lower bound of
-the problem.  Both dual values are exact.  The resolvent dual has no
-constraint.  The elliptic dual needs div z + f = 0, which the iteration
-does not keep; at each check a copy of every dual candidate is
-restored onto it exactly (the PDHG iterate itself is left alone).  The
-restoration corrects only the last axis, which always belongs to a
-power block: its ghost-closed divergence is lower bidiagonal, so a
-cumulative sum inverts it, and power components carry no dual bound,
-so the unit bounds on the block-1 part and on v0 are untouched.
+value minus a dual value that is a true lower bound of the problem.
+Both dual values are exact.  The resolvent dual has no constraint, and
+each resolvent dual candidate is paired with its exact primal, the
+minimizer u(z) = g + tau_time * A*(z, v0) of the Lagrangian; the
+certified pair is the candidate pair of smallest gap, so the returned
+u, z and v0 satisfy the divergence condition to roundoff.  The
+elliptic dual needs div z + f = 0, which the iteration does not keep;
+at each check a copy of every dual candidate is restored onto it
+exactly (the PDHG iterate itself is left alone), and the best primal
+iterate is kept apart.  The restoration corrects only the last axis,
+which always belongs to a power block: its ghost-closed divergence is
+lower bidiagonal, so a cumulative sum inverts it, and power components
+carry no dual bound, so the unit bounds on the block-1 part and on v0
+are untouched.
 
 The iterated dual pair (z, v0) is the one returned: z the vector field
 and v0 the weak normal flux on the penalized faces, with A*(z, v0) =
@@ -28,12 +41,13 @@ div z + scatter(v0).
 
 Each solve allocates one workspace up front: the iterates u, z and v0,
 the extrapolated point, the gradient stack, the divergence and its
-axis-term scratch, and the boundary restriction and scatter buffers.
-The iteration runs in place on it, with u and its successor swapped by
-reference, and calls each kernel with ``out=``; what still allocates
-per iteration is the radial power prox at p != 2 (the cell magnitudes
-and their shrink factors, plus the Newton iterates at p other than 3/2
-and 3), the product sigma * g in the resolvent prox, and face-sized
+axis-term scratch, the boundary restriction and scatter buffers, and
+for a resolvent the iterate at the previous check.  The iteration runs
+in place on it, with u and its successor swapped by reference, and
+calls each kernel with ``out=``; what still allocates per iteration is
+the radial power prox at p != 2 (the cell magnitudes and their shrink
+factors, plus the Newton iterates at p other than 3/2 and 3), the
+product of the primal step and g in the resolvent prox, and face-sized
 terms of the scatter at non-unit spacing.  Every floating-point
 operation is the one the allocating kernels perform, in the same
 order, so iterates, certificates and iteration counts are bit for bit
@@ -63,6 +77,7 @@ from .grid import (
     _restrict_impl,
     _scatter_impl,
     boundary_face_count,
+    boundary_weights,
     check_boundary_field,
     check_scalar_field,
     check_vector_field,
@@ -118,7 +133,10 @@ class DualState:
 class SolveReport:
     """Certified outcome of a solve.
 
-    ``sigma`` is the step size.  ``gap_history`` logs each check as
+    ``sigma`` is the base step 1/L.  A resolvent iterates with the dual
+    step omega * sigma and the primal step sigma / omega for a weight
+    omega it adapts, which is not reported.  ``gap_history`` logs each
+    check as
     (iteration, gap, conjugate bracket, source bracket).  The residuals
     of the returned pair live in ``certificate`` alone.
     """
@@ -187,6 +205,7 @@ class _Problem:
         self.n1 = spec.blocks[0]
         self.power = _power_blocks(spec)
         self.trace = spec.has_trace_term
+        self.face_weights = boundary_weights(spec) if self.trace else None
         if kind == "elliptic":
             self.f = data
         else:
@@ -226,47 +245,54 @@ class _Problem:
     def dual(self, y, v0):
         """Certified lower bound on the primal infimum at (y, v0).
 
-        Returns (value, y).  For the elliptic problem y is a restored
-        copy satisfying A*(y, v0) + f = 0 to roundoff.
+        Returns (value, y, u).  For the elliptic problem y is a restored
+        copy satisfying A*(y, v0) + f = 0 to roundoff, and u is None.
+        For the resolvent u = g + tau_time * A*(y, v0), the minimizer of
+        the Lagrangian at (y, v0): the exact primal of that dual point.
         """
         w = self.adjoint(y, v0)
         if self.kind == "elliptic":
             y = y.copy()
             y[-1] -= self.spec.spacing[-1] * np.cumsum(w + self.f, axis=-1)
-            return -self.conj_power_value(y), y
+            return -self.conj_power_value(y), y, None
         gconj = float(np.vdot(w, self.g)) * self.vol
         gconj += 0.5 * self.tau_time * float(np.vdot(w, w)) * self.vol
-        return -self.conj_power_value(y) - gconj, y
+        return -self.conj_power_value(y) - gconj, y, self.g + self.tau_time * w
 
 
 class _Tracker:
-    """The certified pair: the best primal and the best dual point seen.
+    """The certified pair: the best primal and dual points seen.
 
-    Candidate points are the current iterates and the mean of the
-    iterates since the previous check: feasibility survives averaging
-    (the dual constraint sets are convex), and near degenerate flat
-    regions the mean damps the oscillation of the raw iterates.  The
-    best primal and the best dual point are chosen independently, so
-    the certified gap never increases between checks.  Each check logs
-    (iteration, gap, conjugate bracket, source bracket): the brackets
-    realize the eps-subdifferentiability of the certified pair, both
-    nonnegative up to roundoff and summing exactly to the gap.  The
-    iteration overwrites its buffers, so every kept point is a copy.
+    Dual candidates are the current iterate and the mean of the iterates
+    since the previous check: feasibility survives averaging (the dual
+    constraint sets are convex), and near degenerate flat regions the
+    mean damps the oscillation of the raw iterates.  An elliptic solve
+    offers the iterate u and its mean as primal candidates and keeps the
+    best primal and the best dual point independently.  A resolvent
+    pairs each dual candidate with its exact primal u(z) = g + tau_time *
+    A*(z, v0) and keeps the pair of smallest gap, so its divergence
+    condition holds to roundoff.  Either way the certified gap never
+    increases between checks.  Each check logs (iteration, gap,
+    conjugate bracket, source bracket): the brackets realize the
+    eps-subdifferentiability of the certified pair, both nonnegative up
+    to roundoff and summing exactly to the gap.  The iteration
+    overwrites its buffers, so every kept point is a copy.
     """
 
     def __init__(self, prob, u, y, v0):
         self.prob = prob
         self.n = 0  # iterates summed since the last check
-        self.sum_u = np.zeros_like(u)
+        self.sum_u = np.zeros_like(u) if prob.kind == "elliptic" else None
         self.sum_y = np.zeros_like(y)
         self.sum_v0 = None if v0 is None else np.zeros_like(v0)
-        self.primal = None  # (breakdown, u) at the lowest primal value
-        self.dual = None  # (value, y, v0) at the highest dual value
+        self.primal = None  # (breakdown, u) of the certified primal point
+        self.dual = None  # (value, y, v0) of the certified dual point
         self.history: list[tuple[int, float, float, float]] = []
 
     def add(self, u, y, v0):
         self.n += 1
-        self.sum_u += u
+        if self.sum_u is not None:
+            self.sum_u += u
         self.sum_y += y
         if v0 is not None:
             self.sum_v0 += v0
@@ -274,19 +300,25 @@ class _Tracker:
     def check(self, it, u, y, v0) -> bool:
         """Offer the iterate and the mean; True once the gap is certified."""
         prob = self.prob
-        u_cands = [u]
+        k = float(self.n)
         d_cands = [(y, v0)]
         if self.n:
-            k = float(self.n)
-            u_cands.append(self.sum_u / k)
             d_cands.append((self.sum_y / k, None if self.sum_v0 is None else self.sum_v0 / k))
-        for u_c in u_cands:
-            bd = prob.primal(u_c)
-            if self.primal is None or bd.total < self.primal[0].total:
-                self.primal = (bd, u_c.copy())
+        if self.sum_u is not None:
+            for u_c in [u, self.sum_u / k] if self.n else [u]:
+                bd = prob.primal(u_c)
+                if self.primal is None or bd.total < self.primal[0].total:
+                    self.primal = (bd, u_c.copy())
         for y_c, v0_c in d_cands:
-            value, y_c = prob.dual(y_c, v0_c)
-            if self.dual is None or value > self.dual[0]:
+            value, y_c, u_c = prob.dual(y_c, v0_c)
+            if u_c is None:  # elliptic: the highest dual value
+                better = self.dual is None or value > self.dual[0]
+            else:  # resolvent: the pair (u(z), z, v0) of smallest gap
+                bd = prob.primal(u_c)
+                better = self.primal is None or bd.total - value < self.primal[0].total - self.dual[0]
+                if better:
+                    self.primal = (bd, u_c)
+            if better:
                 self.dual = (value, y_c.copy(), None if v0_c is None else v0_c.copy())
         bd, u_w = self.primal
         value, y_w, v0_w = self.dual
@@ -294,11 +326,33 @@ class _Tracker:
         be = cert._gap_terms(u_w, y_w, v0_w, prob.spec, prob.opts.tv_norm).total
         self.history.append((it, float(gap), float(be), float(gap - be)))
         self.n = 0
-        self.sum_u.fill(0.0)
+        if self.sum_u is not None:
+            self.sum_u.fill(0.0)
         self.sum_y.fill(0.0)
         if self.sum_v0 is not None:
             self.sum_v0.fill(0.0)
-        return gap <= prob.opts.gap_tol * (1.0 + abs(bd.total))
+        return math.isfinite(gap) and gap <= prob.opts.gap_tol * (1.0 + abs(bd.total))
+
+
+def _reweight(omega, prob, last, u, y, v0):
+    """One primal-weight step of Applegate et al. (NeurIPS 2021), smoothing 1/2.
+
+    ``last`` holds (u, y, v0) at the previous check and is overwritten
+    with the current ones.  Returns sqrt(omega * |d(y, v0)| / |du|) for
+    the movements d since then, in the volume- and face-weighted norms,
+    or omega unchanged when either movement is 0 or the result is not
+    finite and positive.
+    """
+    u_last, y_last, v0_last = last
+    du = math.sqrt(float(np.vdot(u - u_last, u - u_last)) * prob.vol)
+    dz2 = float(np.vdot(y - y_last, y - y_last)) * prob.vol
+    if v0 is not None:
+        dz2 += float(np.sum(prob.face_weights * (v0 - v0_last) ** 2))
+        np.copyto(v0_last, v0)
+    np.copyto(u_last, u)
+    np.copyto(y_last, y)
+    new = math.sqrt(omega * math.sqrt(dz2) / du) if du > 0.0 else 0.0
+    return new if 0.0 < new < math.inf else omega
 
 
 def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=None):
@@ -328,10 +382,18 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
         v0 = None
     ubar = u.copy()
     u_new = np.empty(spec.dims)
-    step = np.empty((spec.ndim,) + spec.dims)  # y + sigma * grad ubar
-    w = np.empty(spec.dims)  # u + sigma * A*(y, v0)
+    step = np.empty((spec.ndim,) + spec.dims)  # y + sig_d * grad ubar
+    w = np.empty(spec.dims)  # u + tau_p * A*(y, v0)
     tmp = np.empty(spec.dims)  # axis terms of the divergence
     n1 = prob.n1
+
+    # Resolvent steps carry the primal weight omega: dual omega * sigma,
+    # primal sigma / omega, product sigma^2 for every omega.  Elliptic
+    # solves keep omega = 1.
+    omega = 1.0
+    sig_d = tau_p = sigma
+    if kind == "resolvent":
+        last = (u.copy(), y.copy(), None if v0 is None else v0.copy())
 
     track = _Tracker(prob, u, y, v0)
     it = 0
@@ -341,32 +403,35 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
         _grad_impl(ubar, spec, out=step)
         if prob.trace:
             _restrict_impl(ubar, spec, out=trace)
-            trace *= sigma
+            trace *= sig_d
             np.subtract(v0, trace, out=trace)
             project_interval(trace, out=v0)
-        step *= sigma
+        step *= sig_d
         step += y
         if opts.tv_norm == "euclidean":
             project_ball(step[:n1], out=y[:n1])
         else:
             project_interval(step[:n1], out=y[:n1])
         for sl, _p, q in prob.power:
-            prox_power_conj_radial(step[sl], sigma, q, out=y[sl])
+            prox_power_conj_radial(step[sl], sig_d, q, out=y[sl])
         _div_impl(y, spec, out=w, scratch=tmp)
         if prob.trace:
             w += _scatter_impl(v0, spec, out=spread)
-        w *= sigma
+        w *= tau_p
         w += u
         if kind == "elliptic":
-            prox_primal_linear(w, sigma, prob.f, out=u_new)
+            prox_primal_linear(w, tau_p, prob.f, out=u_new)
         else:
-            prox_primal_quadratic(w, sigma, prob.g, prob.tau_time, out=u_new)
+            prox_primal_quadratic(w, tau_p, prob.g, prob.tau_time, out=u_new)
         np.subtract(u_new, u, out=ubar)
         ubar += u_new
         u, u_new = u_new, u
         track.add(u, y, v0)
         if it % opts.residual_check_every == 0 or it == opts.max_iter:
             converged = track.check(it, u, y, v0)
+            if not converged and kind == "resolvent":
+                omega = _reweight(omega, prob, last, u, y, v0)
+                sig_d, tau_p = omega * sigma, sigma / omega
 
     bd, u_out = track.primal
     dual_value, z, v0 = track.dual
@@ -427,11 +492,12 @@ def solve_resolvent(
 ) -> SolveResult:
     """One implicit Euler step: minimize F(u) + ||u - g||^2 / (2 tau_time).
 
-    At convergence u = g + tau_time * div z holds within the
-    gap-controlled residual the certificate reports as
-    divergence_residual.  The optional warm-start arguments take (u, z,
-    v0) as a solve returns them and seed the iteration
-    deterministically.
+    The returned u is the exact primal of the returned dual: u = g +
+    tau_time * div z, with the boundary flux v0, holds to roundoff (the
+    certificate's divergence_residual), so the gap is exactly the sum of
+    the certificate's pairing, Young and boundary terms.  The optional
+    warm-start arguments take (u, z, v0) as a solve returns them and
+    seed the iteration deterministically.
     """
     return _solve(
         "resolvent",

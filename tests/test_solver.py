@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from anisoflow import GridSpec, InvalidInputError
+from anisoflow import GridSpec, InvalidInputError, solver
 from anisoflow.errors import InvalidStateError, NonConvergenceError
-from anisoflow.grid import boundary_face_count
+from anisoflow.flow import evolve
+from anisoflow.grid import boundary_face_count, div_blocks
 from anisoflow.solver import (
     DualState,
     SolveOptions,
     _Problem,
+    _reweight,
     _Tracker,
     duality_gap,
     estimate_opnorm,
@@ -151,10 +153,11 @@ class TestElliptic:
         assert parts == pytest.approx(rep.final_gap, rel=0.0, abs=tol)
         assert rep.gap_history[-1][2] == pytest.approx(rep.final_gap, rel=0.0, abs=tol)
 
-    @pytest.mark.parametrize("p", [4.0, 10.0])
+    @pytest.mark.parametrize("p", [4.0, 10.0, 1e6])
     def test_large_exponent_certifies(self, p):
         # q = p/(p-1) <= 4/3: the conjugate equation has infinite slope at
-        # 0, so the power prox solves its Moreau dual
+        # 0, so the power prox solves its Moreau dual; at p = 1e6 the power
+        # term of a checked iterate is inf, without an overflow warning
         spec = GridSpec((8, 8), (1.0, 1.0), (1, 1), (1.0, p), "dirichlet_penalized")
         rep = solve_elliptic(np.ones(spec.dims), spec).report
         assert rep.converged
@@ -206,6 +209,102 @@ class TestResolvent:
         again = solve_resolvent(g, 0.1, DIR, opts, u_init=res.u, y_init=res.z, v0_init=res.v0)
         assert again.report.iterations == 0
         assert again.report.final_gap == res.report.final_gap
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pytest.param(NEU, id="neu-8x8-p2"),
+            pytest.param(GridSpec((8, 8), (1.0, 1.0), (1, 1), (1.0, 3.0)), id="dir-8x8-p3"),
+            pytest.param(GridSpec((6, 5, 4), (1.0,) * 3, (2, 1), (1.0, 2.0)), id="dir-3d-p2"),
+            pytest.param(
+                GridSpec((6, 5, 4), (0.5, 1.0, 1.0), (1, 2), (1.0, 3.0), "neumann_block1"),
+                id="neu-3d-p3",
+            ),
+        ],
+    )
+    def test_returned_pair_is_exact(self, spec):
+        # u is the exact primal of the returned dual point: u = g + tau * A*(z, v0)
+        g = np.random.default_rng(21).standard_normal(spec.dims)
+        res = solve_resolvent(g, 0.1, spec)
+        exact = g + 0.1 * div_blocks(res.z, spec, res.v0)
+        assert np.max(np.abs(res.u - exact)) <= 1e-13 * np.max(np.abs(res.u))
+        cert = res.report.certificate
+        scale = 1.0 + abs(res.report.primal_value)
+        parts = cert.pairing_gap + sum(cert.young_terms) + cert.boundary_sign_total
+        assert parts == pytest.approx(res.report.final_gap, rel=0.0, abs=1e-12 * scale)
+
+    def test_warm_started_evolve_steps_are_exact(self):
+        # each step seeds its duals with the last step's (z, v0)
+        u0 = np.random.default_rng(22).standard_normal(DIR.dims)
+        traj = evolve(u0, DIR, 0.1, 3, warm_start=True)
+        for state, cert in zip(traj.states[1:], traj.certificates):
+            # the parabolic divergence residual is |u - g - tau A*(z, v0)| / tau
+            weighted = np.sqrt(np.sum(state * state) * DIR.cell_volume)
+            assert 0.1 * cert.divergence_residual <= 1e-13 * weighted
+
+    def test_half_indicator_certifies_quickly(self):
+        # 5850 iterations at the elliptic steps sigma = tau = 1/L
+        spec = GridSpec((16, 16), (1.0, 1.0), (1, 1), (1.0, 2.0))
+        g = np.zeros(spec.dims)
+        g[:8] = 1.0
+        rep = solve_resolvent(g, 0.1, spec).report
+        assert rep.converged and rep.iterations <= 600
+
+    def test_noiseless_64_certifies(self):
+        # fails at the default budget with the elliptic steps
+        spec = GridSpec((64, 64), (1.0, 1.0), (1, 1), (1.0, 2.0))
+        g = np.zeros(spec.dims)
+        g[:32] = 1.0
+        assert solve_resolvent(g, 0.1, spec).report.converged
+
+    def test_stationary_iterate_keeps_finite_steps(self, monkeypatch):
+        # at spacing (1e3, 1e-3) the iterate stops moving exactly from
+        # about iteration 5700 on, without certifying
+        steps, last = [], []
+        quadratic = solver.prox_primal_quadratic
+
+        def spy(w, tau, g, tau_time, out):
+            steps.append(tau)
+            last[:] = [*last[-1:], quadratic(w, tau, g, tau_time, out=out).copy()]
+            return out
+
+        monkeypatch.setattr(solver, "prox_primal_quadratic", spy)
+        spec = GridSpec((8, 8), (1e3, 1e-3), (1, 1), (1.0, 2.0))
+        g = np.zeros(spec.dims)
+        g[:4] = 1.0
+        with pytest.raises(NonConvergenceError) as err:
+            solve_resolvent(g, 0.1, spec, SolveOptions(max_iter=6000))
+        np.testing.assert_array_equal(last[0], last[1])
+        assert all(0.0 < tau < np.inf for tau in steps)
+        rep = err.value.report
+        assert all(np.isfinite([rep.primal_value, rep.dual_value, rep.final_gap]))
+        assert np.all(np.isfinite(rep.gap_history))
+
+    def test_infinite_gap_does_not_certify(self):
+        # at p = 1e6 the start pair (g, z = 0) has an inf primal value, and
+        # inf <= gap_tol * (1 + inf) must not count as certified
+        spec = GridSpec((8, 8), (1.0, 1.0), (1, 1), (1.0, 1e6))
+        g = np.zeros(spec.dims)
+        g[:4] = 2.0
+        rep = solve_resolvent(g, 0.1, spec, u_init=g).report
+        assert rep.converged and rep.iterations > 0
+        assert rep.final_gap <= 1e-8 * (1.0 + abs(rep.primal_value))
+
+    def test_weight_update_skips_degenerate_movements(self):
+        prob = _Problem("resolvent", np.ones((8, 8)), DIR, 0.1, SolveOptions())
+        u = np.ones((8, 8))
+        y = np.full((2, 8, 8), 0.5)
+        v0 = np.zeros(boundary_face_count(DIR))
+
+        def last():
+            return (u.copy(), y.copy(), v0.copy())
+
+        assert _reweight(3.0, prob, last(), u, y, v0) == 3.0  # nothing moved
+        assert _reweight(3.0, prob, last(), u + 1.0, y, v0) == 3.0  # the dual did not move
+        assert _reweight(1e300, prob, last(), u + 1e-300, y + 1.0, v0) == 1e300  # overflow
+        # |du| = 8 and |d(y, v0)| = sqrt(128 + 16) over 16 unit faces, so
+        # omega -> sqrt(2 * 12 / 8)
+        assert _reweight(2.0, prob, last(), u + 1.0, y + 1.0, v0 + 1.0) == pytest.approx(3.0**0.5)
 
     def test_nonexpansive_in_weighted_l2(self):
         spec = GridSpec(
