@@ -11,13 +11,17 @@ power-iteration estimate of ||A||.  The power iteration has a fixed
 length and start, so L depends on the grid alone and no solve depends
 on a seed.  The dual step is omega * sigma and the primal step
 sigma / omega, so their product stays sigma^2 and sigma^2 * ||A||^2 < 1
-holds for every primal weight omega.  Elliptic solves keep omega = 1.
-A resolvent starts at omega = 1 and, at each check that does not
-certify, moves log omega halfway towards log(|d(z, v0)| / |du|), the
-movements of the iterate since the previous check in the volume- and
-face-weighted norms (the primal weight of Applegate et al., NeurIPS
-2021).  A zero movement, or a new weight that is not finite and
-positive, leaves omega as it is.
+holds for every primal weight omega.  Both problems adapt omega by one
+rule.  A solve starts at omega = 1 and updates it at a check that does
+not certify, but only once the certified gap has fallen to a fifth of
+its value at the previous update (or at iteration 0), or once 36% of
+all iterations so far have passed since that update (the restart
+criteria of Applegate et al., Math. Prog. 2023).  An update moves log
+omega halfway towards log(|d(z, v0)| / |du|), the movements of the
+iterate since the previous update in the volume- and face-weighted
+norms (the primal weight of Applegate et al., NeurIPS 2021).  A zero
+movement, or a new weight that is not finite and positive, leaves
+omega as it is.  The iterate itself is never reset.
 
 Convergence is declared only through the certified gap: the primal
 value minus a dual value that is a true lower bound of the problem.
@@ -29,11 +33,11 @@ u, z and v0 satisfy the divergence condition to roundoff.  The
 elliptic dual needs div z + f = 0, which the iteration does not keep;
 at each check a copy of every dual candidate is restored onto it
 exactly (the PDHG iterate itself is left alone), and the best primal
-iterate is kept apart.  The restoration corrects only the last axis,
+iterate is kept apart.  The restoration replaces only the last axis,
 which always belongs to a power block: its ghost-closed divergence is
-lower bidiagonal, so a cumulative sum inverts it, and power components
-carry no dual bound, so the unit bounds on the block-1 part and on v0
-are untouched.
+lower bidiagonal, so a cumulative sum of the other terms gives it, and
+power components carry no dual bound, so the unit bounds on the
+block-1 part and on v0 are untouched.
 
 The iterated dual pair (z, v0) is the one returned: z the vector field
 and v0 the weak normal flux on the penalized faces, with A*(z, v0) =
@@ -42,7 +46,7 @@ div z + scatter(v0).
 Each solve allocates one workspace up front: the iterates u, z and v0,
 the extrapolated point, the gradient stack, the divergence and its
 axis-term scratch, the boundary restriction and scatter buffers, and
-for a resolvent the iterate at the previous check.  The iteration runs
+the iterate at the previous weight update.  The iteration runs
 in place on it, with u and its successor swapped by reference, and
 calls each kernel with ``out=``; what still allocates per iteration is
 the radial power prox at p != 2 (the cell magnitudes and their shrink
@@ -93,6 +97,12 @@ from .prox import (
 PROBLEM_KINDS = ("elliptic", "resolvent")
 _OPNORM_ITERS = 200  # power-iteration length
 _OPNORM_SEED = 0  # seed of its random start
+# A check updates the primal weight only once the certified gap has fallen
+# to _RESTART_SUFFICIENT times its value at the previous update, or once
+# _RESTART_ARTIFICIAL times all iterations so far have passed since then
+# (PDLP's beta_sufficient and beta_artificial, Applegate et al. 2023).
+_RESTART_SUFFICIENT = 0.2
+_RESTART_ARTIFICIAL = 0.36
 
 
 @dataclass(frozen=True)
@@ -133,12 +143,12 @@ class DualState:
 class SolveReport:
     """Certified outcome of a solve.
 
-    ``sigma`` is the base step 1/L.  A resolvent iterates with the dual
+    ``sigma`` is the base step 1/L.  Both problems iterate with the dual
     step omega * sigma and the primal step sigma / omega for a weight
-    omega it adapts, which is not reported.  ``gap_history`` logs each
-    check as
-    (iteration, gap, conjugate bracket, source bracket).  The residuals
-    of the returned pair live in ``certificate`` alone.
+    omega they adapt, which is not reported.  ``gap_history`` logs each
+    check as (iteration, gap, conjugate bracket, source bracket), never
+    NaN.  The residuals of the returned pair live in ``certificate``
+    alone.
     """
 
     problem: str
@@ -246,18 +256,36 @@ class _Problem:
         """Certified lower bound on the primal infimum at (y, v0).
 
         Returns (value, y, u).  For the elliptic problem y is a restored
-        copy satisfying A*(y, v0) + f = 0 to roundoff, and u is None.
-        For the resolvent u = g + tau_time * A*(y, v0), the minimizer of
-        the Lagrangian at (y, v0): the exact primal of that dual point.
+        copy satisfying A*(y, v0) + f = 0 to roundoff, and u is None:
+        its last component is rebuilt from the others alone, so however
+        large the iterate's own last component grows, it cannot cancel
+        into the restored one.  For the resolvent u = g + tau_time *
+        A*(y, v0), the minimizer of the Lagrangian at (y, v0): the exact
+        primal of that dual point.
         """
-        w = self.adjoint(y, v0)
         if self.kind == "elliptic":
             y = y.copy()
-            y[-1] -= self.spec.spacing[-1] * np.cumsum(w + self.f, axis=-1)
+            y[-1] = 0.0
+            w = self.adjoint(y, v0)
+            y[-1] = -self.spec.spacing[-1] * np.cumsum(w + self.f, axis=-1)
             return -self.conj_power_value(y), y, None
+        w = self.adjoint(y, v0)
         gconj = float(np.vdot(w, self.g)) * self.vol
         gconj += 0.5 * self.tau_time * float(np.vdot(w, w)) * self.vol
         return -self.conj_power_value(y) - gconj, y, self.g + self.tau_time * w
+
+    def source_bracket(self, u, y, v0):
+        """The source term's Fenchel-Young slack at u and the dual point (y, v0).
+
+        Elliptic: -<u, A*(y, v0) + f>; resolvent: |u - g - tau_time *
+        A*(y, v0)|^2 / (2 tau_time).  Both are finite for finite points
+        and 0 up to roundoff at the certified pair.
+        """
+        w = self.adjoint(y, v0)
+        if self.kind == "elliptic":
+            return -float(np.vdot(u, w + self.f)) * self.vol
+        r = u - self.g - self.tau_time * w
+        return 0.5 / self.tau_time * float(np.vdot(r, r)) * self.vol
 
 
 class _Tracker:
@@ -275,8 +303,10 @@ class _Tracker:
     increases between checks.  Each check logs (iteration, gap,
     conjugate bracket, source bracket): the brackets realize the
     eps-subdifferentiability of the certified pair, both nonnegative up
-    to roundoff and summing exactly to the gap.  The iteration
-    overwrites its buffers, so every kept point is a copy.
+    to roundoff and summing exactly to the gap.  Where the gap and the
+    conjugate bracket are both inf, the source bracket is evaluated from
+    its definition rather than as their difference, so no entry is NaN.
+    The iteration overwrites its buffers, so every kept point is a copy.
     """
 
     def __init__(self, prob, u, y, v0):
@@ -324,7 +354,10 @@ class _Tracker:
         value, y_w, v0_w = self.dual
         gap = bd.total - value
         be = cert._gap_terms(u_w, y_w, v0_w, prob.spec, prob.opts.tv_norm).total
-        self.history.append((it, float(gap), float(be), float(gap - be)))
+        src = gap - be
+        if math.isnan(src):  # inf - inf: the conjugate bracket holds the inf
+            src = prob.source_bracket(u_w, y_w, v0_w)
+        self.history.append((it, float(gap), float(be), float(src)))
         self.n = 0
         if self.sum_u is not None:
             self.sum_u.fill(0.0)
@@ -337,7 +370,7 @@ class _Tracker:
 def _reweight(omega, prob, last, u, y, v0):
     """One primal-weight step of Applegate et al. (NeurIPS 2021), smoothing 1/2.
 
-    ``last`` holds (u, y, v0) at the previous check and is overwritten
+    ``last`` holds (u, y, v0) at the previous update and is overwritten
     with the current ones.  Returns sqrt(omega * |d(y, v0)| / |du|) for
     the movements d since then, in the volume- and face-weighted norms,
     or omega unchanged when either movement is 0 or the result is not
@@ -387,17 +420,18 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
     tmp = np.empty(spec.dims)  # axis terms of the divergence
     n1 = prob.n1
 
-    # Resolvent steps carry the primal weight omega: dual omega * sigma,
-    # primal sigma / omega, product sigma^2 for every omega.  Elliptic
-    # solves keep omega = 1.
+    # The steps carry the primal weight omega: dual omega * sigma, primal
+    # sigma / omega, product sigma^2 for every omega.  ``last`` holds the
+    # iterate at the previous weight update, made at iteration last_it
+    # with certified gap last_gap.
     omega = 1.0
     sig_d = tau_p = sigma
-    if kind == "resolvent":
-        last = (u.copy(), y.copy(), None if v0 is None else v0.copy())
+    last = (u.copy(), y.copy(), None if v0 is None else v0.copy())
 
     track = _Tracker(prob, u, y, v0)
-    it = 0
+    it = last_it = 0
     converged = track.check(0, u, y, v0)
+    last_gap = track.history[0][1]
     while not converged and it < opts.max_iter:
         it += 1
         _grad_impl(ubar, spec, out=step)
@@ -429,9 +463,13 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
         track.add(u, y, v0)
         if it % opts.residual_check_every == 0 or it == opts.max_iter:
             converged = track.check(it, u, y, v0)
-            if not converged and kind == "resolvent":
+            gap = track.history[-1][1]
+            if not converged and (
+                gap <= _RESTART_SUFFICIENT * last_gap or it - last_it >= _RESTART_ARTIFICIAL * it
+            ):
                 omega = _reweight(omega, prob, last, u, y, v0)
                 sig_d, tau_p = omega * sigma, sigma / omega
+                last_it, last_gap = it, gap
 
     bd, u_out = track.primal
     dual_value, z, v0 = track.dual

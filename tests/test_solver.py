@@ -153,7 +153,7 @@ class TestElliptic:
         assert parts == pytest.approx(rep.final_gap, rel=0.0, abs=tol)
         assert rep.gap_history[-1][2] == pytest.approx(rep.final_gap, rel=0.0, abs=tol)
 
-    @pytest.mark.parametrize("p", [4.0, 10.0, 1e6])
+    @pytest.mark.parametrize("p", [4.0, 10.0, 1e3, 1e6])
     def test_large_exponent_certifies(self, p):
         # q = p/(p-1) <= 4/3: the conjugate equation has infinite slope at
         # 0, so the power prox solves its Moreau dual; at p = 1e6 the power
@@ -163,6 +163,36 @@ class TestElliptic:
         assert rep.converged
         assert rep.final_gap <= 1e-8 * (1.0 + abs(rep.primal_value))
         assert rep.certificate.divergence_residual <= 1e-12 * (1.0 + abs(rep.primal_value))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pytest.param(GridSpec((16, 16), (1.0, 1.0), (1, 1), (1.0, 1.5)), id="16x16-p1.5"),
+            pytest.param(GridSpec((8, 8), (1.0, 1.0), (1, 1), (1.0, 1.1)), id="p1.1"),
+            pytest.param(GridSpec((8, 8), (100.0, 100.0), (1, 1), (1.0, 2.0)), id="h100"),
+            pytest.param(GridSpec((8, 8), (10.0, 0.1), (1, 1), (1.0, 2.0)), id="h10x0.1"),
+        ],
+    )
+    def test_adaptive_weight_certifies(self, spec):
+        # none certifies within 50000 iterations at the fixed weight omega = 1
+        rep = solve_elliptic(np.ones(spec.dims), spec).report
+        assert rep.converged
+        assert rep.final_gap <= 1e-8 * (1.0 + abs(rep.primal_value))
+        assert rep.certificate.divergence_residual <= 1e-12 * (1.0 + abs(rep.primal_value))
+
+    def test_restoration_ignores_the_last_component(self):
+        # the restored dual is rebuilt from the other components, so a huge
+        # last component cannot cancel into it
+        rng = np.random.default_rng(23)
+        prob = _Problem("elliptic", np.ones((8, 8)), DIR, None, SolveOptions())
+        y = np.clip(rng.standard_normal((2, 8, 8)), -0.5, 0.5)
+        v0 = np.clip(rng.standard_normal(boundary_face_count(DIR)), -1.0, 1.0)
+        value, restored, _ = prob.dual(y, v0)
+        y[-1] += 1e15 * rng.standard_normal((8, 8))
+        value_big, restored_big, _ = prob.dual(y, v0)
+        np.testing.assert_array_equal(restored_big, restored)
+        assert value_big == value
+        assert np.max(np.abs(div_blocks(restored, DIR, v0) + 1.0)) <= 1e-12
 
     def test_neumann_mode_has_no_boundary_dual(self):
         res = solve_elliptic(np.ones((8, 8)), NEU, SolveOptions(gap_tol=1e-6))
@@ -258,15 +288,14 @@ class TestResolvent:
         assert solve_resolvent(g, 0.1, spec).report.converged
 
     def test_stationary_iterate_keeps_finite_steps(self, monkeypatch):
-        # at spacing (1e3, 1e-3) the iterate stops moving exactly from
-        # about iteration 5700 on, without certifying
-        steps, last = [], []
+        # spacing (1e3, 1e-3) does not certify within the budget, and the
+        # weight may drift far from 1 meanwhile
+        steps = []
         quadratic = solver.prox_primal_quadratic
 
         def spy(w, tau, g, tau_time, out):
             steps.append(tau)
-            last[:] = [*last[-1:], quadratic(w, tau, g, tau_time, out=out).copy()]
-            return out
+            return quadratic(w, tau, g, tau_time, out=out)
 
         monkeypatch.setattr(solver, "prox_primal_quadratic", spy)
         spec = GridSpec((8, 8), (1e3, 1e-3), (1, 1), (1.0, 2.0))
@@ -274,7 +303,6 @@ class TestResolvent:
         g[:4] = 1.0
         with pytest.raises(NonConvergenceError) as err:
             solve_resolvent(g, 0.1, spec, SolveOptions(max_iter=6000))
-        np.testing.assert_array_equal(last[0], last[1])
         assert all(0.0 < tau < np.inf for tau in steps)
         rep = err.value.report
         assert all(np.isfinite([rep.primal_value, rep.dual_value, rep.final_gap]))
@@ -289,6 +317,10 @@ class TestResolvent:
         rep = solve_resolvent(g, 0.1, spec, u_init=g).report
         assert rep.converged and rep.iterations > 0
         assert rep.final_gap <= 1e-8 * (1.0 + abs(rep.primal_value))
+        # while the certified gap is inf the source bracket is logged, not inf - inf
+        assert rep.gap_history[0][1:3] == (np.inf, np.inf)
+        assert not np.any(np.isnan(rep.gap_history))
+        assert all(abs(row[3]) <= 1e-12 for row in rep.gap_history if np.isinf(row[1]))
 
     def test_weight_update_skips_degenerate_movements(self):
         prob = _Problem("resolvent", np.ones((8, 8)), DIR, 0.1, SolveOptions())
