@@ -12,23 +12,18 @@ from .certificates import (
     gauss_green_residual,
     pairing_measure,
     theta_density,
-    theta_truncation_invariance,
-    weak_normal_trace,
 )
 from .energy import (
     CoareaCheck,
     EnergyBreakdown,
-    boundary_term,
     coarea_check,
     eval_F,
     eval_J,
     poincare_check,
-    power_term,
     tv_block1,
 )
 from .errors import (
     InvalidInputError,
-    InvalidStateError,
     NonConvergenceError,
     NumericalFailureError,
 )
@@ -40,6 +35,7 @@ from .grid import (
     grad_block,
     gradient,
     interior_divergence,
+    weak_normal_trace,
 )
 from .io import (
     RunConfig,
@@ -48,7 +44,7 @@ from .io import (
     read_field,
     write_field,
 )
-from .oracle import oracle_minimize, smoothed_energy
+from .oracle import oracle_minimize
 from .prox import (
     project_ball,
     project_interval,
@@ -58,11 +54,9 @@ from .prox import (
 )
 from .selftest import run_selftest
 from .solver import (
-    DualState,
     SolveOptions,
     SolveReport,
     SolveResult,
-    duality_gap,
     solve_elliptic,
     solve_resolvent,
 )
@@ -72,11 +66,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Certificate",
     "CoareaCheck",
-    "DualState",
     "EnergyBreakdown",
     "GridSpec",
     "InvalidInputError",
-    "InvalidStateError",
     "NonConvergenceError",
     "NumericalFailureError",
     "RunConfig",
@@ -86,12 +78,10 @@ __all__ = [
     "Trajectory",
     "accretivity_probe",
     "boundary_restriction",
-    "boundary_term",
     "check_weak_solution",
     "coarea_check",
     "comparison_test",
     "div_blocks",
-    "duality_gap",
     "emit_report",
     "eval_F",
     "eval_J",
@@ -104,7 +94,6 @@ __all__ = [
     "pairing_measure",
     "parse_config",
     "poincare_check",
-    "power_term",
     "project_ball",
     "project_interval",
     "prox_power_conj",
@@ -112,11 +101,9 @@ __all__ = [
     "prox_primal_quadratic",
     "read_field",
     "run_selftest",
-    "smoothed_energy",
     "solve_elliptic",
     "solve_resolvent",
     "theta_density",
-    "theta_truncation_invariance",
     "tv_block1",
     "weak_normal_trace",
     "write_field",

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .energy import _cell_norms
+from .energy import _tv_value
 from .errors import InvalidInputError
 from .grid import (
     GridSpec,
@@ -44,7 +44,7 @@ from .grid import (
     grad_block,
     gradient,
     inner,
-    sampled_normal_trace,
+    weak_normal_trace,
 )
 
 MODES = ("elliptic", "parabolic")
@@ -87,9 +87,10 @@ class _GapTerms(NamedTuple):
         return self.pairing_gap + sum(self.young_terms) + self.boundary_sign_total
 
 
-def _gap_terms(u, z, flux, spec: GridSpec, tv_norm: str) -> _GapTerms:
+def _gap_terms(u, g, z, flux, spec: GridSpec, tv_norm: str) -> _GapTerms:
     """Block-1 pairing slack, per-power-block Young slack, boundary sign slack.
 
+    ``g`` is the gradient of u, which the caller has already taken.
     Each term is nonnegative when the block-1 dual norm of z and |flux|
     are at most 1.  Where div z + rhs = 0 holds exactly, the Gauss-Green
     identity makes their sum equal the duality gap of the pair.  Inputs
@@ -97,9 +98,7 @@ def _gap_terms(u, z, flux, spec: GridSpec, tv_norm: str) -> _GapTerms:
     """
     vol = spec.cell_volume
     n1 = spec.blocks[0]
-    g = _grad_impl(u, spec)
-    tv = float(np.sum(_cell_norms(g[:n1], tv_norm))) * vol
-    pairing = tv - float(np.vdot(z[:n1], g[:n1])) * vol
+    pairing = _tv_value(g[:n1], spec, tv_norm) - float(np.vdot(z[:n1], g[:n1])) * vol
     young = []
     for sl, p, q in _power_blocks(spec):
         gb, zb = g[sl], z[sl]
@@ -123,16 +122,6 @@ def _block1_sup(z1: np.ndarray, tv_norm: str) -> float:
     if tv_norm == "euclidean":
         return float(np.sqrt(np.max(np.sum(z1 * z1, axis=0))))
     return float(np.max(np.abs(z1)))
-
-
-def weak_normal_trace(z, spec: GridSpec):
-    """Boundary flux of z on the penalized faces, sampled from z1.
-
-    Low faces carry -z1 of the adjacent cell, high faces the far
-    component; zeros under neumann_block1.  Its sup never exceeds the
-    per-cell sup of ||z1||.
-    """
-    return sampled_normal_trace(z, spec)
 
 
 def pairing_measure(z1, u, spec: GridSpec) -> np.ndarray:
@@ -166,7 +155,7 @@ def gauss_green_residual(u, z, spec: GridSpec, boundary_flux=None) -> float:
     u = check_scalar_field(u, spec)
     z = check_vector_field(z, spec)
     if boundary_flux is None:
-        boundary_flux = sampled_normal_trace(z, spec)
+        boundary_flux = weak_normal_trace(z, spec)
     lhs = inner(u, div_blocks(z, spec, boundary_flux), spec)
     lhs += float(np.vdot(z, gradient(u, spec))) * spec.cell_volume
     rhs = float(np.sum(boundary_weights(spec) * boundary_flux * boundary_restriction(u, spec)))
@@ -202,40 +191,6 @@ def theta_density(z, u, spec: GridSpec, grad_floor: float | None = None) -> np.n
     return out
 
 
-class TruncationInvariance(NamedTuple):
-    """Deviation of the pairing density under clamping, with a count of
-    the cells whose difference stencil the clamp actually altered."""
-
-    max_deviation: float
-    straddle_count: int
-
-
-def theta_truncation_invariance(
-    z, u, spec: GridSpec, a: float, b: float, grad_floor: float | None = None
-) -> TruncationInvariance:
-    """Compare the density for u and for u clamped to [a, b].
-
-    The maximum runs over cells where both densities are defined.  It is
-    exactly zero when no difference stencil is altered by the clamp
-    (straddle_count 0); altered cells are counted and the deviation is
-    reported, not asserted small, because forward differences rescale
-    across a clamp level.
-    """
-    if not a < b:
-        raise InvalidInputError("truncation interval needs a < b")
-    u = check_scalar_field(u, spec)
-    tu = np.clip(u, a, b)
-    th_u = theta_density(z, u, spec, grad_floor)
-    th_t = theta_density(z, tu, spec, grad_floor)
-    both = ~np.isnan(th_u) & ~np.isnan(th_t)
-    changed = np.any(grad_block(u, spec, 1) != grad_block(tu, spec, 1), axis=0)
-    straddles = int(np.count_nonzero(both & changed))
-    if not both.any():
-        return TruncationInvariance(0.0, straddles)
-    dev = float(np.max(np.abs(th_u[both] - th_t[both])))
-    return TruncationInvariance(dev, straddles)
-
-
 def check_weak_solution(
     u,
     z,
@@ -263,12 +218,12 @@ def check_weak_solution(
     vol = spec.cell_volume
 
     if boundary_trace is None:
-        boundary_trace = sampled_normal_trace(z, spec)
+        boundary_trace = weak_normal_trace(z, spec)
     else:
         boundary_trace = check_boundary_field(boundary_trace, spec, name="boundary_trace")
 
-    terms = _gap_terms(u, z, boundary_trace, spec, tv_norm)
     g = _grad_impl(u, spec)
+    terms = _gap_terms(u, g, z, boundary_trace, spec, tv_norm)
     consti = []
     for sl, p, _q in _power_blocks(spec):
         gb = g[sl]

@@ -19,7 +19,6 @@ import numpy as np
 from .certificates import check_weak_solution
 from .errors import (
     InvalidInputError,
-    InvalidStateError,
     NonConvergenceError,
     NumericalFailureError,
 )
@@ -243,7 +242,7 @@ def main(argv=None) -> int:
     except NonConvergenceError as e:
         _fail("non_convergence", e)
         return 3
-    except (NumericalFailureError, InvalidStateError) as e:
+    except NumericalFailureError as e:
         _fail("numerical_failure", e)
         return 3
     except OSError as e:

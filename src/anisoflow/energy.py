@@ -83,41 +83,28 @@ def tv_block1(u, spec: GridSpec, norm: str = "euclidean") -> float:
     return _tv_value(grad_block(u, spec, 1), spec, norm)
 
 
-def power_term(u, spec: GridSpec, block: int) -> float:
-    """(1/p) * integral of the Euclidean block gradient norm to the power p."""
-    if block < 2:
-        raise InvalidInputError("power terms are defined for blocks >= 2")
-    return _power_value(grad_block(u, spec, block), spec.exponents[block - 1], spec)
-
-
-def boundary_term(u, spec: GridSpec) -> float:
-    """Face-area-weighted |u| on the block-1 outer faces; 0 under neumann_block1."""
-    return _boundary_value(check_scalar_field(u, spec), spec)
+def _energy(u: np.ndarray, g: np.ndarray, spec: GridSpec, norm: str,
+            source_term: float = 0.0) -> EnergyBreakdown:
+    """Breakdown at a validated u whose gradient g is already taken."""
+    return EnergyBreakdown(
+        tv_block1=_tv_value(g[: spec.blocks[0]], spec, norm),
+        power_terms=tuple(_power_value(g[sl], p, spec) for sl, p, _q in _power_blocks(spec)),
+        boundary_term=_boundary_value(u, spec),
+        source_term=source_term,
+    )
 
 
 def eval_F(u, spec: GridSpec, norm: str = "euclidean") -> EnergyBreakdown:
     """Energy driving the gradient flow (no source term)."""
     u = check_scalar_field(u, spec)
-    g = _grad_impl(u, spec)
-    return EnergyBreakdown(
-        tv_block1=_tv_value(g[: spec.blocks[0]], spec, norm),
-        power_terms=tuple(_power_value(g[sl], p, spec) for sl, p, _q in _power_blocks(spec)),
-        boundary_term=_boundary_value(u, spec),
-        source_term=0.0,
-    )
+    return _energy(u, _grad_impl(u, spec), spec, norm)
 
 
 def eval_J(u, f, spec: GridSpec, norm: str = "euclidean") -> EnergyBreakdown:
     """Flow energy minus the source pairing <f, u>."""
     u = check_scalar_field(u, spec)
     f = check_scalar_field(f, spec, name="f")
-    base = eval_F(u, spec, norm)
-    return EnergyBreakdown(
-        tv_block1=base.tv_block1,
-        power_terms=base.power_terms,
-        boundary_term=base.boundary_term,
-        source_term=-float(np.vdot(f, u)) * spec.cell_volume,
-    )
+    return _energy(u, _grad_impl(u, spec), spec, norm, -float(np.vdot(f, u)) * spec.cell_volume)
 
 
 class CoareaCheck(NamedTuple):

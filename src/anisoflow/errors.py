@@ -5,10 +5,6 @@ class InvalidInputError(ValueError):
     """A field, spec, or config does not satisfy its documented contract."""
 
 
-class InvalidStateError(RuntimeError):
-    """An internal state violates an invariant (e.g. infeasible dual)."""
-
-
 class NumericalFailureError(RuntimeError):
     """An iterative kernel failed to reach its tolerance.
 

@@ -384,12 +384,13 @@ def _scatter_impl(w: np.ndarray, spec: GridSpec, out: np.ndarray | None = None) 
     return out
 
 
-def sampled_normal_trace(z, spec: GridSpec) -> np.ndarray:
+def weak_normal_trace(z, spec: GridSpec) -> np.ndarray:
     """Outward normal component of the block-1 part of ``z`` at the faces.
 
     Sampled from the nearest stored slot: the first slot (sign flipped)
     at a low face, the far slot at a high face.  Identically zero under
-    ``neumann_block1``, whose closure carries no boundary flux.
+    ``neumann_block1``, whose closure carries no boundary flux.  Its sup
+    never exceeds the per-cell sup of ||z1||.
     """
     z = check_vector_field(z, spec)
     if not spec.has_trace_term:
@@ -408,7 +409,7 @@ def div_blocks(z, spec: GridSpec, boundary_flux=None) -> np.ndarray:
 
     ``boundary_flux`` is the outward normal flux on the block-1 outer
     faces (one entry per face, restriction order).  When omitted it
-    defaults to :func:`sampled_normal_trace`, so that
+    defaults to :func:`weak_normal_trace`, so that
 
         <u, div_blocks(z, flux)> + <gradient(u), z> = <trace u, flux>
 
@@ -417,7 +418,7 @@ def div_blocks(z, spec: GridSpec, boundary_flux=None) -> np.ndarray:
     """
     d = interior_divergence(z, spec)
     if boundary_flux is None:
-        boundary_flux = sampled_normal_trace(z, spec)
+        boundary_flux = weak_normal_trace(z, spec)
     if np.any(boundary_flux):
         d = d + boundary_scatter(boundary_flux, spec)
     return d

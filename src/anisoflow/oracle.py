@@ -31,7 +31,6 @@ from .grid import (
     interior_divergence,
 )
 
-PROBLEM_KINDS = ("elliptic", "resolvent", "flow")
 _MAX_CELLS = 256  # 16 x 16
 
 # Continuation schedule, strictly decreasing and ending at 1e-8, and the
@@ -44,7 +43,11 @@ _STALL_WINDOW = 30
 
 
 def _value_and_grad(u, spec: GridSpec, eps: float, kind: str, data, tau_time: float):
-    """Smoothed objective value and its exact analytic gradient."""
+    """Smoothed objective value and its exact analytic gradient.
+
+    ``kind`` is "elliptic" or "resolvent" and eps is positive, as
+    :func:`oracle_minimize` guarantees; fields are assumed validated.
+    """
     vol = spec.cell_volume
     n1 = spec.blocks[0]
     g = gradient(u, spec)
@@ -76,30 +79,11 @@ def _value_and_grad(u, spec: GridSpec, eps: float, kind: str, data, tau_time: fl
     if kind == "elliptic":
         val -= float(np.vdot(data, u)) * vol
         grad -= vol * data
-    elif kind == "resolvent":
+    else:
         d = u - data
         val += 0.5 / tau_time * float(np.vdot(d, d)) * vol
         grad += vol * d / tau_time
     return val, grad
-
-
-def smoothed_energy(u, spec: GridSpec, eps: float, problem_kind: str = "flow",
-                    data=None, tau_time: float = 1.0) -> float:
-    """Smoothed objective value; within eps * (terms * measure) of exact."""
-    return smoothed_energy_grad(u, spec, eps, problem_kind, data, tau_time)[0]
-
-
-def smoothed_energy_grad(u, spec: GridSpec, eps: float, problem_kind: str = "flow",
-                         data=None, tau_time: float = 1.0):
-    """(value, gradient) of the smoothed objective, gradient hand-derived."""
-    if eps <= 0:
-        raise InvalidInputError("eps must be positive")
-    if problem_kind not in PROBLEM_KINDS:
-        raise InvalidInputError(f"problem_kind must be one of {PROBLEM_KINDS}")
-    u = check_scalar_field(u, spec)
-    if problem_kind != "flow":
-        data = check_scalar_field(data, spec, name="data")
-    return _value_and_grad(u, spec, eps, problem_kind, data, tau_time)
 
 
 def _descend(u, spec, eps, kind, data, tau_time, stage_index):

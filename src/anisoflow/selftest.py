@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import io as aio
-from .certificates import gauss_green_residual, pairing_measure, weak_normal_trace
-from .energy import coarea_check, eval_F, poincare_check
+from .certificates import gauss_green_residual, pairing_measure
+from .energy import coarea_check, poincare_check
 from .flow import _positive_part_growth, accretivity_probe, evolve, operator_pair
 from .grid import (
     GridSpec,
@@ -24,6 +24,7 @@ from .grid import (
     gradient,
     inner,
     lp_norm,
+    weak_normal_trace,
 )
 from .oracle import oracle_minimize
 from .prox import prox_power_conj

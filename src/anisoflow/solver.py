@@ -37,7 +37,9 @@ iterate is kept apart.  The restoration replaces only the last axis,
 which always belongs to a power block: its ghost-closed divergence is
 lower bidiagonal, so a cumulative sum of the other terms gives it, and
 power components carry no dual bound, so the unit bounds on the
-block-1 part and on v0 are untouched.
+block-1 part and on v0 are untouched.  Each primal candidate of a check
+costs one gradient: the primal value and, for the point kept, the gap
+terms of its conjugate bracket are computed from it.
 
 The iterated dual pair (z, v0) is the one returned: z the vector field
 and v0 the weak normal flux on the penalized faces, with A*(z, v0) =
@@ -71,8 +73,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import certificates as cert
-from .energy import EnergyBreakdown, eval_F, eval_J
-from .errors import InvalidInputError, InvalidStateError, NonConvergenceError
+from .energy import EnergyBreakdown, _energy
+from .errors import InvalidInputError, NonConvergenceError
 from .grid import (
     GridSpec,
     _div_impl,
@@ -94,7 +96,6 @@ from .prox import (
     prox_primal_quadratic,
 )
 
-PROBLEM_KINDS = ("elliptic", "resolvent")
 _OPNORM_ITERS = 200  # power-iteration length
 _OPNORM_SEED = 0  # seed of its random start
 # A check updates the primal weight only once the certified gap has fallen
@@ -123,20 +124,6 @@ class SolveOptions:
             raise InvalidInputError(f"gap_tol must be positive and finite, got {self.gap_tol!r}")
         if self.tv_norm not in ("euclidean", "l1"):
             raise InvalidInputError(f"unknown tv_norm {self.tv_norm!r}")
-
-
-@dataclass
-class DualState:
-    """A dual point for :func:`duality_gap`.
-
-    ``v0`` is the boundary flux and ``z`` the vector field, both as
-    solves return them; ``v0`` is absent (None) under neumann_block1.
-    Feasibility: per-cell dual norm of the block-1 part of z and |v0|
-    both at most 1.
-    """
-
-    v0: np.ndarray | None
-    z: np.ndarray
 
 
 @dataclass
@@ -225,18 +212,18 @@ class _Problem:
             self.tau_time = float(tau_time)
 
     def primal(self, u):
+        """(breakdown, gradient) of the primal objective at u.
+
+        A check computes the gap terms of the point it keeps from this
+        gradient, so each primal candidate is differentiated once.
+        """
+        u = check_scalar_field(u, self.spec)
+        g = _grad_impl(u, self.spec)
         if self.kind == "elliptic":
-            bd = eval_J(u, self.f, self.spec, self.opts.tv_norm)
+            src = -float(np.vdot(self.f, u)) * self.vol
         else:
-            base = eval_F(u, self.spec, self.opts.tv_norm)
-            quad = 0.5 / self.tau_time * float(np.vdot(u - self.g, u - self.g)) * self.vol
-            bd = EnergyBreakdown(
-                tv_block1=base.tv_block1,
-                power_terms=base.power_terms,
-                boundary_term=base.boundary_term,
-                source_term=quad,
-            )
-        return bd
+            src = 0.5 / self.tau_time * float(np.vdot(u - self.g, u - self.g)) * self.vol
+        return _energy(u, g, self.spec, self.opts.tv_norm, src), g
 
     def conj_power_value(self, y):
         val = 0.0
@@ -306,7 +293,10 @@ class _Tracker:
     to roundoff and summing exactly to the gap.  Where the gap and the
     conjugate bracket are both inf, the source bracket is evaluated from
     its definition rather than as their difference, so no entry is NaN.
-    The iteration overwrites its buffers, so every kept point is a copy.
+    The primal point is kept with the gradient its value was computed
+    from, and the conjugate bracket reuses it, so a check takes one
+    gradient per primal candidate.  The iteration overwrites its
+    buffers, so every kept point is a copy.
     """
 
     def __init__(self, prob, u, y, v0):
@@ -315,7 +305,7 @@ class _Tracker:
         self.sum_u = np.zeros_like(u) if prob.kind == "elliptic" else None
         self.sum_y = np.zeros_like(y)
         self.sum_v0 = None if v0 is None else np.zeros_like(v0)
-        self.primal = None  # (breakdown, u) of the certified primal point
+        self.primal = None  # (breakdown, u, gradient of u) of the certified primal point
         self.dual = None  # (value, y, v0) of the certified dual point
         self.history: list[tuple[int, float, float, float]] = []
 
@@ -336,24 +326,24 @@ class _Tracker:
             d_cands.append((self.sum_y / k, None if self.sum_v0 is None else self.sum_v0 / k))
         if self.sum_u is not None:
             for u_c in [u, self.sum_u / k] if self.n else [u]:
-                bd = prob.primal(u_c)
+                bd, g = prob.primal(u_c)
                 if self.primal is None or bd.total < self.primal[0].total:
-                    self.primal = (bd, u_c.copy())
+                    self.primal = (bd, u_c.copy(), g)
         for y_c, v0_c in d_cands:
             value, y_c, u_c = prob.dual(y_c, v0_c)
             if u_c is None:  # elliptic: the highest dual value
                 better = self.dual is None or value > self.dual[0]
             else:  # resolvent: the pair (u(z), z, v0) of smallest gap
-                bd = prob.primal(u_c)
+                bd, g = prob.primal(u_c)
                 better = self.primal is None or bd.total - value < self.primal[0].total - self.dual[0]
                 if better:
-                    self.primal = (bd, u_c)
+                    self.primal = (bd, u_c, g)
             if better:
                 self.dual = (value, y_c.copy(), None if v0_c is None else v0_c.copy())
-        bd, u_w = self.primal
+        bd, u_w, g_w = self.primal
         value, y_w, v0_w = self.dual
         gap = bd.total - value
-        be = cert._gap_terms(u_w, y_w, v0_w, prob.spec, prob.opts.tv_norm).total
+        be = cert._gap_terms(u_w, g_w, y_w, v0_w, prob.spec, prob.opts.tv_norm).total
         src = gap - be
         if math.isnan(src):  # inf - inf: the conjugate bracket holds the inf
             src = prob.source_bracket(u_w, y_w, v0_w)
@@ -471,7 +461,7 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
                 sig_d, tau_p = omega * sigma, sigma / omega
                 last_it, last_gap = it, gap
 
-    bd, u_out = track.primal
+    bd, u_out, _ = track.primal
     dual_value, z, v0 = track.dual
     gap = track.history[-1][1]
     rhs = prob.f if kind == "elliptic" else (prob.g - u_out) / prob.tau_time
@@ -547,34 +537,3 @@ def solve_resolvent(
         y_init=y_init,
         v0_init=v0_init,
     )
-
-
-def duality_gap(u, dual: DualState, data, spec: GridSpec, problem_kind: str,
-                tau_time: float = 1.0, tv_norm: str = "euclidean") -> float:
-    """Certified gap between the primal value at u and the dual lower bound.
-
-    The dual state must be feasible after its projections; a violation
-    beyond roundoff raises InvalidStateError rather than returning an
-    invalid bound.
-    """
-    if problem_kind not in PROBLEM_KINDS:
-        raise InvalidInputError(f"problem_kind must be one of {PROBLEM_KINDS}")
-    u = check_scalar_field(u, spec)
-    data = check_scalar_field(data, spec, name="data")
-    y = check_vector_field(dual.z, spec, name="z")
-    opts = SolveOptions(tv_norm=tv_norm)
-    prob = _Problem(problem_kind, data, spec, tau_time, opts)
-    v0 = None
-    if prob.trace:
-        if dual.v0 is None:
-            raise InvalidInputError("dual state lacks v0 in dirichlet_penalized mode")
-        v0 = check_boundary_field(dual.v0, spec, name="v0")
-    viol = cert._block1_sup(y[: prob.n1], tv_norm) - 1.0
-    if v0 is not None and v0.size:
-        viol = max(viol, float(np.max(np.abs(v0))) - 1.0)
-    if viol > 1e-9:
-        raise InvalidStateError(
-            f"dual state violates its unit bounds by {viol:.3e} after projection"
-        )
-    gap = prob.primal(u).total - prob.dual(y, v0)[0]
-    return float(gap)

@@ -9,10 +9,9 @@ from anisoflow.certificates import (
     gauss_green_residual,
     pairing_measure,
     theta_density,
-    theta_truncation_invariance,
-    weak_normal_trace,
 )
 from anisoflow.energy import tv_block1
+from anisoflow.grid import weak_normal_trace
 from anisoflow.solver import SolveOptions, solve_elliptic, solve_resolvent
 
 DIR = GridSpec(
@@ -112,27 +111,6 @@ class TestThetaDensity:
         u = rng.standard_normal((8, 8))
         th = theta_density(np.zeros((2, 8, 8)), u, NEU, grad_floor=1e300)
         assert np.all(np.isnan(th))
-
-
-class TestTruncationInvariance:
-    def test_interval_must_be_ordered(self):
-        with pytest.raises(InvalidInputError):
-            theta_truncation_invariance(
-                np.zeros((2, 8, 8)), np.zeros((8, 8)), NEU, 2.0, 2.0
-            )
-
-    def test_clamp_outside_range_changes_nothing(self, certified):
-        f, res = certified
-        hi = float(res.u.max())
-        out = theta_truncation_invariance(res.z, res.u, DIR, hi + 1.0, hi + 2.0)
-        assert out.straddle_count == 0
-        assert out.max_deviation == 0.0
-
-    def test_fields(self):
-        out = theta_truncation_invariance(
-            np.zeros((2, 8, 8)), np.zeros((8, 8)), NEU, 1.0, 2.0
-        )
-        assert out._fields == ("max_deviation", "straddle_count")
 
 
 class TestCheckWeakSolution:

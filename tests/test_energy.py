@@ -6,14 +6,13 @@ import pytest
 from anisoflow import GridSpec, InvalidInputError
 from anisoflow.energy import (
     EnergyBreakdown,
-    boundary_term,
     coarea_check,
     eval_F,
     eval_J,
     poincare_check,
-    power_term,
     tv_block1,
 )
+from anisoflow.grid import boundary_restriction, grad_block
 
 
 def spec44(mode="dirichlet_penalized", p2=2.0):
@@ -50,16 +49,12 @@ class TestTvBlock1:
 
 
 class TestPowerTerm:
-    def test_block_index_must_be_power_block(self):
-        with pytest.raises(InvalidInputError):
-            power_term(np.zeros((4, 4)), spec44(), 1)
-
     def test_scaling_is_p_homogeneous(self):
         spec = spec44(p2=3.0)
         rng = np.random.default_rng(2)
         u = rng.standard_normal((4, 4))
-        assert power_term(2.0 * u, spec, 2) == pytest.approx(
-            2.0**3 * power_term(u, spec, 2), rel=1e-12
+        assert eval_F(2.0 * u, spec).power_terms[0] == pytest.approx(
+            2.0**3 * eval_F(u, spec).power_terms[0], rel=1e-12
         )
 
     def test_linear_field_value(self):
@@ -67,19 +62,19 @@ class TestPowerTerm:
         spec = GridSpec((2, 3), (1.0, 1.0), (1, 1), (1.0, 2.0))
         u = np.tile(np.arange(3.0), (2, 1))
         # per row the axis-1 gradients are [1, 1, -2]: sum m^2/2 = 3 per row
-        assert power_term(u, spec, 2) == pytest.approx(6.0)
+        assert eval_F(u, spec).power_terms[0] == pytest.approx(6.0)
 
 
 class TestBoundaryTerm:
     def test_constant_one_pays_the_perimeter(self):
-        assert boundary_term(np.ones((4, 4)), spec44()) == pytest.approx(8.0)
+        assert eval_F(np.ones((4, 4)), spec44()).boundary_term == pytest.approx(8.0)
 
     def test_neumann_mode_has_no_boundary_term(self):
-        assert boundary_term(np.ones((4, 4)), spec44("neumann_block1")) == 0.0
+        assert eval_F(np.ones((4, 4)), spec44("neumann_block1")).boundary_term == 0.0
 
     def test_scales_with_face_area(self):
         spec = GridSpec((4, 4), (1.0, 0.5), (1, 1), (1.0, 2.0))
-        assert boundary_term(np.ones((4, 4)), spec) == pytest.approx(4.0)
+        assert eval_F(np.ones((4, 4)), spec).boundary_term == pytest.approx(4.0)
 
 
 class TestBreakdown:
@@ -94,9 +89,10 @@ class TestBreakdown:
         rng = np.random.default_rng(3)
         u = rng.standard_normal((4, 4))
         bd = eval_F(u, spec)
+        # unit spacing: unit cell volume and face areas
         assert bd.tv_block1 == pytest.approx(tv_block1(u, spec))
-        assert bd.power_terms[0] == pytest.approx(power_term(u, spec, 2))
-        assert bd.boundary_term == pytest.approx(boundary_term(u, spec))
+        assert bd.power_terms[0] == pytest.approx(0.5 * np.sum(grad_block(u, spec, 2) ** 2))
+        assert bd.boundary_term == pytest.approx(np.sum(np.abs(boundary_restriction(u, spec))))
         assert bd.source_term == 0.0
 
     def test_eval_J_subtracts_source_pairing(self):

@@ -23,7 +23,7 @@ from anisoflow.grid import (
     inner,
     interior_divergence,
     lp_norm,
-    sampled_normal_trace,
+    weak_normal_trace,
 )
 
 
@@ -213,14 +213,14 @@ class TestBoundary:
         spec = make_spec()
         z = np.zeros((2, 4, 4))
         z[0] = 1.5
-        tr = sampled_normal_trace(z, spec)
+        tr = weak_normal_trace(z, spec)
         np.testing.assert_allclose(tr[:4], -1.5)  # low face, outward normal flips
         np.testing.assert_allclose(tr[4:], 1.5)
 
     def test_trace_vanishes_under_neumann(self):
         spec = make_spec("neumann_block1")
         z = np.ones((2, 4, 4))
-        np.testing.assert_array_equal(sampled_normal_trace(z, spec), 0.0)
+        np.testing.assert_array_equal(weak_normal_trace(z, spec), 0.0)
 
 
 def _bits(a):
@@ -339,7 +339,7 @@ class TestGaussGreen:
                 z = rng.standard_normal((spec.ndim,) + spec.dims)
                 lhs = inner(u, div_blocks(z, spec), spec)
                 pair = float(np.vdot(gradient(u, spec), z)) * spec.cell_volume
-                flux = sampled_normal_trace(z, spec)
+                flux = weak_normal_trace(z, spec)
                 bnd = float(
                     np.sum(boundary_weights(spec) * flux * boundary_restriction(u, spec))
                 )

@@ -1,7 +1,9 @@
-"""The README's Python example runs as written."""
+"""The README's Python example runs as written and documents every export."""
 
 import re
 from pathlib import Path
+
+import anisoflow
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,3 +19,9 @@ def test_python_example_runs_and_certifies(capsys):
     assert ns["report"].converged
     assert ns["report"].certificate.sup_norm_z1 <= 1.0 + 1e-12
     assert len(ns["traj"].step_gaps) == 10
+
+
+def test_every_export_is_documented():
+    text = README.read_text(encoding="utf-8")
+    missing = [n for n in anisoflow.__all__ if not re.search(rf"`{re.escape(n)}\b", text)]
+    assert not missing, f"exports without a README entry: {missing}"
