@@ -28,7 +28,9 @@ def project_ball(v, radius: float = 1.0, out: np.ndarray | None = None) -> np.nd
     """Project per-cell vectors (components along axis 0) onto the Euclidean ball.
 
     ``out``, when given, must not overlap ``v``: its first component
-    holds the magnitudes until the last division.
+    holds the magnitudes until the last division.  A cell whose
+    magnitude overflows is recomputed from its components scaled by
+    their largest absolute value; every other cell is unaffected.
     """
     if not radius > 0.0:
         raise InvalidInputError(f"radius must be positive, got {radius!r}")
@@ -36,15 +38,25 @@ def project_ball(v, radius: float = 1.0, out: np.ndarray | None = None) -> np.nd
     if out is None:
         out = np.empty(v.shape)
     mags = out[:1]
-    np.multiply(v[:1], v[:1], out=mags)
-    for k in range(1, len(v)):
-        mags += np.multiply(v[k : k + 1], v[k : k + 1], out=out[k : k + 1])
-    np.sqrt(mags, out=mags)
-    if radius != 1.0:
-        mags /= radius
+    with np.errstate(over="ignore"):
+        np.multiply(v[:1], v[:1], out=mags)
+        for k in range(1, len(v)):
+            mags += np.multiply(v[k : k + 1], v[k : k + 1], out=out[k : k + 1])
+        np.sqrt(mags, out=mags)
+        if radius != 1.0:
+            mags /= radius
     np.maximum(mags, 1.0, out=mags)
+    big = np.isinf(mags[0])
     for k in range(len(v) - 1, -1, -1):
         np.divide(v[k : k + 1], mags, out=out[k : k + 1])
+    if big.any():
+        huge = v[:, big]
+        with np.errstate(over="ignore"):
+            scale = np.max(np.abs(huge), axis=0)
+            unit = huge / scale
+            nrm = np.sqrt(np.sum(unit * unit, axis=0))
+            # |v| / radius = nrm * scale / radius; only a huge radius holds v
+            out[:, big] = np.where(nrm * (scale / radius) > 1.0, unit / nrm * radius, huge)
     return out
 
 

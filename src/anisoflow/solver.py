@@ -6,10 +6,10 @@ total-variation, boundary, and power terms, and G is the source term
 (elliptic) or the implicit-Euler coupling (resolvent).  The iteration is
 the primal-dual scheme of Chambolle and Pock: dual ascent through the
 conjugate proxes, primal descent through the G prox, and extrapolation
-with factor 1.  The base step is sigma = 1/L, where L is 1.01 times a
-power-iteration estimate of ||A||.  The power iteration has a fixed
-length and start, so L depends on the grid alone and no solve depends
-on a seed.  The dual step is omega * sigma and the primal step
+with factor 1.  The base step is sigma = 1/L, where L is 1.01 times
+the exact ||A||: A*A is a Kronecker sum of one tridiagonal matrix per
+axis, so ||A||^2 is the sum of their top eigenvalues and depends on the
+grid alone.  The dual step is omega * sigma and the primal step
 sigma / omega, so their product stays sigma^2 and sigma^2 * ||A||^2 < 1
 holds for every primal weight omega.  Both problems adapt omega by one
 rule.  A solve starts at omega = 1 and updates it at a check that does
@@ -48,16 +48,18 @@ div z + scatter(v0).
 Each solve allocates one workspace up front: the iterates u, z and v0,
 the extrapolated point, the gradient stack, the divergence and its
 axis-term scratch, the boundary restriction and scatter buffers, and
-the iterate at the previous weight update.  The iteration runs
-in place on it, with u and its successor swapped by reference, and
-calls each kernel with ``out=``; what still allocates per iteration is
-the radial power prox at p != 2 (the cell magnitudes and their shrink
-factors, plus the Newton iterates at p other than 3/2 and 3), the
-product of the primal step and g in the resolvent prox, and face-sized
-terms of the scatter at non-unit spacing.  Every floating-point
-operation is the one the allocating kernels perform, in the same
-order, so iterates, certificates and iteration counts are bit for bit
-those of the allocating form.  Because the buffers are overwritten,
+the iterate at the previous weight update.  The iteration runs in place
+on it, with u and its successor swapped by reference, and calls each
+kernel with ``out=``.  A block 1 of one axis projects its dual onto the
+interval [-1, 1], the unit ball of one component, with the bits of the
+ball projection.  What still allocates per iteration is the radial
+power prox at p != 2 (the cell magnitudes and their shrink factors,
+plus the Newton iterates at p other than 3/2 and 3), the product of the
+primal step and g in the resolvent prox, and face-sized terms of the
+scatter at non-unit spacing.  Every floating-point operation is the one
+the allocating kernels perform, in the same order, so iterates,
+certificates and iteration counts are bit for bit those of the
+allocating form.  Because the buffers are overwritten,
 the tracker copies every point it keeps.
 """
 
@@ -96,8 +98,6 @@ from .prox import (
     prox_primal_quadratic,
 )
 
-_OPNORM_ITERS = 200  # power-iteration length
-_OPNORM_SEED = 0  # seed of its random start
 # A check updates the primal weight only once the certified gap has fallen
 # to _RESTART_SUFFICIENT times its value at the previous update, or once
 # _RESTART_ARTIFICIAL times all iterations so far have passed since then
@@ -130,12 +130,12 @@ class SolveOptions:
 class SolveReport:
     """Certified outcome of a solve.
 
-    ``sigma`` is the base step 1/L.  Both problems iterate with the dual
-    step omega * sigma and the primal step sigma / omega for a weight
-    omega they adapt, which is not reported.  ``gap_history`` logs each
-    check as (iteration, gap, conjugate bracket, source bracket), never
-    NaN.  The residuals of the returned pair live in ``certificate``
-    alone.
+    ``sigma`` is the base step 1/(1.01 ||A||), with the exact operator
+    norm of A.  Both problems iterate with the dual step omega * sigma
+    and the primal step sigma / omega for a weight omega they adapt,
+    which is not reported.  ``gap_history`` logs each check as
+    (iteration, gap, conjugate bracket, source bracket), never NaN.  The
+    residuals of the returned pair live in ``certificate`` alone.
     """
 
     problem: str
@@ -160,31 +160,32 @@ class SolveResult(NamedTuple):
 
 @functools.cache
 def estimate_opnorm(spec: GridSpec) -> float:
-    """Over-estimate of the operator norm of A by power iteration.
+    """1.01 times the exact operator norm of A between the weighted spaces.
 
-    Runs on A*A in the volume/area-weighted spaces and returns 1.01
-    times the Rayleigh-quotient estimate as a safety margin, so that the
-    unit step product sigma * tau * L^2 stays at most 1.  With a power
-    block, as the solver requires, A is injective (the last axis is a
-    ghost-closed power axis), so no iterate vanishes.
+    A*A = -div grad + scatter restrict is a Kronecker sum of one
+    tridiagonal matrix T_a per axis, so ||A||^2 is the sum over the axes
+    of the top eigenvalue of T_a.  h_a^2 T_a is D^T D for the axis's
+    forward difference D, whose top eigenvalue is 2 (1 + cos(2 pi /
+    (2n + 1))) on a ghost-closed power axis of n cells and 2 (1 + cos(pi
+    / n)) on a block-1 axis; under dirichlet_penalized the trace adds
+    h_a at both end cells of a block-1 axis, and ``eigvalsh`` gives the
+    top eigenvalue of that matrix.  The sum is taken relative to the
+    largest 1/h_a^2, so it cannot overflow.  The margin 1.01 keeps the
+    unit step product sigma * tau * ||A||^2 below 1.
     """
-    x = np.random.default_rng(_OPNORM_SEED).standard_normal(spec.dims)
-    g = np.empty((spec.ndim,) + spec.dims)
-    y = np.empty(spec.dims)
-    tmp = np.empty(spec.dims)
-    if spec.has_trace_term:
-        trace = np.empty(boundary_face_count(spec))
-        spread = np.empty(spec.dims)
-    for _ in range(_OPNORM_ITERS):
-        _grad_impl(x, spec, out=g)
-        g *= -1.0
-        _div_impl(g, spec, out=y, scratch=tmp)
-        if spec.has_trace_term:
-            y += _scatter_impl(_restrict_impl(x, spec, out=trace), spec, out=spread)
-        nrm = float(np.sqrt(np.vdot(y, y).real * spec.cell_volume))
-        lam = float(np.vdot(x, y).real * spec.cell_volume)
-        np.divide(y, nrm, out=x)
-    return 1.01 * float(np.sqrt(lam))
+    h_min = min(spec.spacing)
+    total = 0.0
+    for a, (n, h) in enumerate(zip(spec.dims, spec.spacing)):
+        if a >= spec.blocks[0]:
+            mu = 2.0 * (1.0 + math.cos(2.0 * math.pi / (2 * n + 1)))
+        elif spec.has_trace_term:
+            t = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+            t[0, 0] = t[-1, -1] = 1.0 + h
+            mu = float(np.linalg.eigvalsh(t)[-1])
+        else:
+            mu = 2.0 * (1.0 + math.cos(math.pi / n))
+        total += mu * (h_min / h) ** 2
+    return 1.01 * math.sqrt(total) / h_min
 
 
 class _Problem:
@@ -290,9 +291,11 @@ class _Tracker:
     increases between checks.  Each check logs (iteration, gap,
     conjugate bracket, source bracket): the brackets realize the
     eps-subdifferentiability of the certified pair, both nonnegative up
-    to roundoff and summing exactly to the gap.  Where the gap and the
-    conjugate bracket are both inf, the source bracket is evaluated from
-    its definition rather than as their difference, so no entry is NaN.
+    to roundoff and summing exactly to the gap.  Where the primal and
+    dual values both overflow to -inf, the gap is logged as inf; where
+    the gap and the conjugate bracket are both inf, the source bracket
+    is evaluated from its definition rather than as their difference.
+    So no entry is NaN.
     The primal point is kept with the gradient its value was computed
     from, and the conjugate bracket reuses it, so a check takes one
     gradient per primal candidate.  The iteration overwrites its
@@ -343,6 +346,8 @@ class _Tracker:
         bd, u_w, g_w = self.primal
         value, y_w, v0_w = self.dual
         gap = bd.total - value
+        if math.isnan(gap):  # -inf - (-inf): both values overflowed, nothing is certified
+            gap = math.inf
         be = cert._gap_terms(u_w, g_w, y_w, v0_w, prob.spec, prob.opts.tv_norm).total
         src = gap - be
         if math.isnan(src):  # inf - inf: the conjugate bracket holds the inf
@@ -383,8 +388,7 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
     data = check_scalar_field(data, spec, name="f" if kind == "elliptic" else "g")
     prob = _Problem(kind, data, spec, tau_time, opts)
 
-    with np.errstate(all="ignore"):  # a spacing that breaks the estimate fails below
-        sigma = 1.0 / estimate_opnorm(spec)
+    sigma = 1.0 / estimate_opnorm(spec)
     if not 0.0 < sigma < math.inf:
         raise InvalidInputError(
             f"spacing {spec.spacing} gives no finite positive step size "
@@ -409,6 +413,8 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
     w = np.empty(spec.dims)  # u + tau_p * A*(y, v0)
     tmp = np.empty(spec.dims)  # axis terms of the divergence
     n1 = prob.n1
+    # One component: the Euclidean ball is the interval, bit for bit.
+    ball = opts.tv_norm == "euclidean" and n1 > 1
 
     # The steps carry the primal weight omega: dual omega * sigma, primal
     # sigma / omega, product sigma^2 for every omega.  ``last`` holds the
@@ -432,7 +438,7 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
             project_interval(trace, out=v0)
         step *= sig_d
         step += y
-        if opts.tv_norm == "euclidean":
+        if ball:
             project_ball(step[:n1], out=y[:n1])
         else:
             project_interval(step[:n1], out=y[:n1])

@@ -33,6 +33,28 @@ class TestProjections:
         v = np.array([-3.0, 0.25, 7.0])
         np.testing.assert_allclose(project_interval(v), [-1.0, 0.25, 1.0])
 
+    @pytest.mark.parametrize(
+        "v, expected",
+        [
+            ([[1e200], [0.0]], [[1.0], [0.0]]),
+            ([[3e154], [4e154]], [[0.6], [0.8]]),
+            ([[3e154]], [[1.0]]),
+        ],
+        ids=["one-large", "both-large", "single-component"],
+    )
+    def test_ball_overflowing_magnitude(self, v, expected):
+        # the sum of squares overflows; the cell is rescaled, not zeroed
+        np.testing.assert_array_equal(project_ball(np.array(v)), expected)
+
+    def test_one_component_ball_is_the_interval(self):
+        # sqrt(v * v) == |v| in binary64, so v / max(|v|, 1) is the clamp
+        rng = np.random.default_rng(3)
+        n = 100_000
+        v = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-300, 154, n)
+        v *= rng.choice([-1.0, 1.0], n)
+        v = v[None, :]
+        np.testing.assert_array_equal(_bits(project_interval(v)), _bits(project_ball(v)))
+
     def test_projection_is_idempotent(self):
         rng = np.random.default_rng(0)
         v = 3.0 * rng.standard_normal((2, 5, 5))

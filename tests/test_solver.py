@@ -59,9 +59,36 @@ class TestOptions:
             SolveOptions(**kw)
 
 
+def _dense_opnorm(spec):
+    """||A|| between the weighted spaces, from A applied to unit fields."""
+    vol = spec.cell_volume
+    cols = []
+    for e in np.eye(int(np.prod(spec.dims))):
+        e = e.reshape(spec.dims)
+        col = [np.sqrt(vol) * grid._grad_impl(e, spec).ravel()]
+        if spec.has_trace_term:
+            col.append(np.sqrt(grid.boundary_weights(spec)) * grid._restrict_impl(e, spec))
+        cols.append(np.concatenate(col) / np.sqrt(vol))
+    return float(np.linalg.norm(np.array(cols).T, 2))
+
+
 class TestOpnorm:
-    def test_reference_value(self):
-        assert estimate_opnorm(NEU) == pytest.approx(2.804947212038511, rel=1e-12)
+    def test_equals_dense_norm(self):
+        grids = [
+            (dims, spacing, blocks, (1.0, 2.0), mode)
+            for mode in ("dirichlet_penalized", "neumann_block1")
+            for dims, spacing, blocks in [
+                ((8, 8), (1.0, 1.0), (1, 1)),
+                ((6, 5, 4), (0.5, 2.0, 0.7), (1, 2)),
+                ((6, 5), (1e3, 1e-3), (1, 1)),
+            ]
+        ] + [
+            ((2, 5), (0.3, 1.7), (1, 1), (1.0, 3.0), "dirichlet_penalized"),
+            ((5, 4, 3), (0.5, 2.0, 0.7), (2, 1), (1.0, 2.0), "dirichlet_penalized"),
+        ]
+        for args in grids:
+            spec = GridSpec(*args)
+            assert estimate_opnorm(spec) / 1.01 == pytest.approx(_dense_opnorm(spec), rel=1e-12)
 
     def test_scales_inversely_with_spacing(self):
         half = GridSpec(
@@ -80,18 +107,42 @@ class TestOpnorm:
         assert estimate_opnorm(DIR) > estimate_opnorm(NEU)
 
     @pytest.mark.parametrize("kind", ["elliptic", "resolvent"])
-    @pytest.mark.parametrize("h", [1e-200, 1e-160, 1e-150, 1e-70, 1e90, 1e150])
+    @pytest.mark.parametrize(
+        "h", [1e-200, 1e-160, 1.5e-154, 1e-150, 1e-70, 1e80, 1e90, 1e150]
+    )
     def test_spacing_without_finite_step_rejected(self, h, kind):
-        # the power iteration gives NaN here; solves used to certify u = 0
-        # at iteration 0 (small h) or blame u (large h)
+        # Below 1.5e-154 the cell volume is subnormal and GridSpec rejects
+        # the spacing.  Every spacing it accepts has a finite positive
+        # step.  The small ones certify; there the elliptic's whole scale
+        # is below the tolerance, so it certifies u = 0 at iteration 0.
+        # From 1e80 up neither certifies: the elliptic optimum with f = 1
+        # overflows, and the resolvent's trace term (norm h^-1/2) dwarfs
+        # its gradient (norm h^-1).  The report says so, with no NaN.
         data = np.zeros((8, 8))
         data[:4] = 1.0
-        with pytest.raises(InvalidInputError, match=r"spacing \("):
-            spec = GridSpec((8, 8), (h, h), (1, 1), (1.0, 2.0))
+        if h < 1.5e-154:
+            with pytest.raises(InvalidInputError, match=r"spacing \("):
+                GridSpec((8, 8), (h, h), (1, 1), (1.0, 2.0))
+            return
+        spec = GridSpec((8, 8), (h, h), (1, 1), (1.0, 2.0))
+        assert 0.0 < 1.0 / estimate_opnorm(spec) < np.inf
+
+        def solve(opts):
             if kind == "elliptic":
-                solve_elliptic(np.ones((8, 8)), spec)
-            else:
-                solve_resolvent(data, 0.1, spec)
+                return solve_elliptic(np.ones((8, 8)), spec, opts)
+            return solve_resolvent(data, 0.1, spec, opts)
+
+        if h < 1.0:
+            rep = solve(SolveOptions()).report
+            assert rep.converged and rep.final_gap <= 1e-8 * (1.0 + abs(rep.primal_value))
+            assert rep.certificate.sup_norm_z1 <= 1.0 and rep.certificate.trace_sup <= 1.0
+            assert (rep.iterations == 0) == (kind == "elliptic")
+            return
+        with pytest.raises(NonConvergenceError) as err:
+            solve(SolveOptions(max_iter=1000))
+        rep = err.value.report
+        assert rep.iterations == 1000 and not rep.converged
+        assert not np.isnan(np.array(rep.gap_history)).any()
 
 
 class TestElliptic:
@@ -394,7 +445,6 @@ class TestTracker:
     def test_one_gradient_per_checked_point(self, kind, spec, monkeypatch):
         # one per iteration, one per primal candidate of a check (the
         # iterate alone at iteration 0, then two), one for the certificate
-        estimate_opnorm(spec)  # cached, so its power iteration is not counted
         calls = []
         real = grid._grad_impl
 
