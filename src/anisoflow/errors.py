@@ -22,10 +22,13 @@ class NonConvergenceError(RuntimeError):
     """A solver hit its iteration budget before certifying convergence.
 
     The last solve report is attached; the solver never returns silently
-    with an uncertified result.
+    with an uncertified result.  From ``evolve``, ``step`` is the failing
+    step and ``trajectory`` the ``Trajectory`` of the steps certified
+    before it.
     """
 
-    def __init__(self, message, report=None, step=None):
+    def __init__(self, message, report=None, step=None, trajectory=None):
         super().__init__(message)
         self.report = report
         self.step = step
+        self.trajectory = trajectory

@@ -60,7 +60,9 @@ def evolve(
     one step.  ``warm_start=True`` additionally reuses each step's dual
     variables to seed the next step (still deterministic, but the calls
     then differ from single-step runs).  Solver failure is re-raised
-    with the failing step index attached.
+    with the failing step index and the trajectory of the steps certified
+    before it attached; that trajectory stores the last certified state
+    as its final one, as a run of that many steps would.
     """
     for name, value in (("n_steps", n_steps), ("stride", stride)):
         if not (isinstance(value, numbers.Integral) and value >= 1):
@@ -68,9 +70,13 @@ def evolve(
     opts = opts or SolveOptions()
     state = check_scalar_field(u0, spec).copy()
     traj = Trajectory()
-    traj.times.append(0.0)
-    traj.states.append(state.copy())
-    traj.energies.append(eval_F(state, spec, opts.tv_norm))
+
+    def store(t):
+        traj.times.append(t)
+        traj.states.append(state.copy())
+        traj.energies.append(eval_F(state, spec, opts.tv_norm))
+
+    store(0.0)
     y_seed = v0_seed = None
     for k in range(1, n_steps + 1):
         try:
@@ -84,8 +90,10 @@ def evolve(
                 v0_init=v0_seed,
             )
         except NonConvergenceError as e:
+            if (k - 1) % stride:
+                store((k - 1) * tau_time)
             raise NonConvergenceError(
-                f"evolution stalled at step {k}: {e}", report=e.report, step=k
+                f"evolution stalled at step {k}: {e}", report=e.report, step=k, trajectory=traj
             ) from e
         state = res.u
         if warm_start:
@@ -93,9 +101,7 @@ def evolve(
         traj.step_gaps.append(res.report.final_gap)
         traj.certificates.append(res.report.certificate)
         if k % stride == 0 or k == n_steps:
-            traj.times.append(k * tau_time)
-            traj.states.append(state.copy())
-            traj.energies.append(eval_F(state, spec, opts.tv_norm))
+            store(k * tau_time)
     return traj
 
 

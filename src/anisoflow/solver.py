@@ -41,6 +41,19 @@ block-1 part and on v0 are untouched.  Each primal candidate of a check
 costs one gradient: the primal value and, for the point kept, the gap
 terms of its conjugate bracket are computed from it.
 
+The gap is checked at every multiple of ``residual_check_every`` and at
+max_iter.  The certified gap of restarted PDHG falls by a near-constant
+factor per iteration, so a regular check that does not certify
+extrapolates the decay since the previous check to the iteration where
+the gap should reach its tolerance, and if that lies before the next
+multiple it checks once more there.  This added check is a full check
+(the candidates, the means and the weight gate all act as at any
+check), but it schedules nothing itself.  So at most one check falls
+between two multiples, and a solve spends fewer of its iterations past
+the point where its gap could certify.  The schedule only reads the
+check history, so until a solve's first added check every iterate and
+check is the one a multiples-only schedule gives.
+
 The iterated dual pair (z, v0) is the one returned: z the vector field
 and v0 the weak normal flux on the penalized faces, with A*(z, v0) =
 div z + scatter(v0).
@@ -108,7 +121,12 @@ _RESTART_ARTIFICIAL = 0.36
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Iteration budget, gap tolerance, and scheme parameters."""
+    """Iteration budget, gap tolerance, and scheme parameters.
+
+    ``residual_check_every`` is the longest interval between two gap
+    checks: a check falls on each of its multiples, and at most one more
+    between two of them where the gap's decay predicts certification.
+    """
 
     max_iter: int = 50000
     gap_tol: float = 1e-8
@@ -134,7 +152,10 @@ class SolveReport:
     norm of A.  Both problems iterate with the dual step omega * sigma
     and the primal step sigma / omega for a weight omega they adapt,
     which is not reported.  ``gap_history`` logs each check as
-    (iteration, gap, conjugate bracket, source bracket), never NaN.  The
+    (iteration, gap, conjugate bracket, source bracket), never NaN.  Its
+    rows fall at iteration 0, at the multiples of
+    ``residual_check_every`` and at max_iter, plus at most one
+    added row between two multiples.  The
     residuals of the returned pair live in ``certificate`` alone.
     """
 
@@ -284,7 +305,9 @@ class _Tracker:
     constraint sets are convex), and near degenerate flat regions the
     mean damps the oscillation of the raw iterates.  An elliptic solve
     offers the iterate u and its mean as primal candidates and keeps the
-    best primal and the best dual point independently.  A resolvent
+    best primal and the best dual point independently; a primal candidate
+    whose value is -inf or NaN (its source term overflowed) bounds
+    nothing and is never kept.  A resolvent
     pairs each dual candidate with its exact primal u(z) = g + tau_time *
     A*(z, v0) and keeps the pair of smallest gap, so its divergence
     condition holds to roundoff.  Either way the certified gap never
@@ -330,6 +353,9 @@ class _Tracker:
         if self.sum_u is not None:
             for u_c in [u, self.sum_u / k] if self.n else [u]:
                 bd, g = prob.primal(u_c)
+                # a value of -inf or NaN (an overflowed source term) bounds nothing
+                if not bd.total > -math.inf:
+                    continue
                 if self.primal is None or bd.total < self.primal[0].total:
                     self.primal = (bd, u_c.copy(), g)
         for y_c, v0_c in d_cands:
@@ -359,7 +385,24 @@ class _Tracker:
         self.sum_y.fill(0.0)
         if self.sum_v0 is not None:
             self.sum_v0.fill(0.0)
-        return math.isfinite(gap) and gap <= prob.opts.gap_tol * (1.0 + abs(bd.total))
+        return math.isfinite(gap) and gap <= self.tolerance()
+
+    def tolerance(self) -> float:
+        """The gap that certifies: gap_tol * (1 + |primal value|)."""
+        return self.prob.opts.gap_tol * (1.0 + abs(self.primal[0].total))
+
+    def crossing(self) -> int | None:
+        """Iterations from the last check until the gap should reach tol.
+
+        The geometric decay of the last two rows (it_prev, G_prev) and
+        (it, G) predicts ceil(ln(tol / G) * (it - it_prev) / ln(G /
+        G_prev)); None unless tol < G < G_prev < inf.
+        """
+        (it_prev, g_prev, *_), (it, g, *_) = self.history[-2:]
+        tol = self.tolerance()
+        if not tol < g < g_prev < math.inf:
+            return None
+        return math.ceil(math.log(tol / g) * (it - it_prev) / math.log(g / g_prev))
 
 
 def _reweight(omega, prob, last, u, y, v0):
@@ -424,6 +467,10 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
     sig_d = tau_p = sigma
     last = (u.copy(), y.copy(), None if v0 is None else v0.copy())
 
+    # Checks fall on the multiples of ``every``, on max_iter, and on the one
+    # ``extra`` iteration a regular check may add before the next multiple.
+    every = opts.residual_check_every
+    extra = None
     track = _Tracker(prob, u, y, v0)
     it = last_it = 0
     converged = track.check(0, u, y, v0)
@@ -457,7 +504,8 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
         ubar += u_new
         u, u_new = u_new, u
         track.add(u, y, v0)
-        if it % opts.residual_check_every == 0 or it == opts.max_iter:
+        regular = it % every == 0
+        if regular or it == extra or it == opts.max_iter:
             converged = track.check(it, u, y, v0)
             gap = track.history[-1][1]
             if not converged and (
@@ -466,6 +514,9 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
                 omega = _reweight(omega, prob, last, u, y, v0)
                 sig_d, tau_p = omega * sigma, sigma / omega
                 last_it, last_gap = it, gap
+            if regular and not converged:
+                n = track.crossing()
+                extra = it + n if n is not None and n < every else None
 
     bd, u_out, _ = track.primal
     dual_value, z, v0 = track.dual
@@ -497,7 +548,7 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
     if not converged:
         raise NonConvergenceError(
             f"{kind} solve stopped at iteration {it} with gap {gap:.3e} "
-            f"above tolerance {opts.gap_tol:.3e} * (1 + |primal|)",
+            f"above tolerance {track.tolerance():.3e}",
             report=report,
         )
     return SolveResult(u=u_out, z=z, v0=v0, report=report)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from anisoflow import GridSpec, InvalidInputError
+from anisoflow import GridSpec, InvalidInputError, flow
 from anisoflow.errors import NonConvergenceError
 from anisoflow.flow import accretivity_probe, comparison_test, evolve, operator_pair
 from anisoflow.solver import SolveOptions, solve_resolvent
@@ -87,6 +87,29 @@ class TestEvolve:
             evolve(u0, SPEC, 0.2, 3, tight)
         assert err.value.step == 1
         assert err.value.report is not None
+        assert err.value.trajectory.times == [0.0] and err.value.trajectory.step_gaps == []
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_failure_keeps_the_certified_steps(self, stride, monkeypatch):
+        # the second step fails; the first step's certificate and state survive
+        calls = []
+
+        def second_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise NonConvergenceError("budget", report=None)
+            return solve_resolvent(*args, **kwargs)
+
+        monkeypatch.setattr(flow, "solve_resolvent", second_fails)
+        u0 = np.zeros((6, 6))
+        u0[:3] = 1.0
+        with pytest.raises(NonConvergenceError) as err:
+            evolve(u0, SPEC, 0.2, 3, OPTS, stride=stride)
+        traj = err.value.trajectory
+        assert err.value.step == 2
+        assert len(traj.step_gaps) == 1 and len(traj.certificates) == 1
+        assert traj.times == [0.0, 0.2]
+        np.testing.assert_array_equal(traj.last, solve_resolvent(u0, 0.2, SPEC, OPTS, u_init=u0).u)
 
 
 class TestComparison:

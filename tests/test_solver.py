@@ -144,6 +144,16 @@ class TestOpnorm:
         assert rep.iterations == 1000 and not rep.converged
         assert not np.isnan(np.array(rep.gap_history)).any()
 
+    def test_overflowed_primal_value_is_not_kept(self):
+        # at h = 1e150 the source term -<f, u> * vol of an iterate is -inf,
+        # which is no upper bound on the minimum
+        spec = GridSpec((8, 8), (1e150, 1e150), (1, 1), (1.0, 2.0))
+        with pytest.raises(NonConvergenceError) as err:
+            solve_elliptic(np.ones((8, 8)), spec, SolveOptions(max_iter=1000))
+        rep = err.value.report
+        assert rep.primal_value > -np.inf
+        assert not np.isnan(np.array(rep.gap_history)).any()
+
 
 class TestElliptic:
     def test_zero_source_solves_immediately(self):
@@ -463,6 +473,52 @@ class TestTracker:
         checks = len(rep.gap_history)
         assert rep.converged and checks > 1
         assert len(calls) == rep.iterations + (1 + 2 * (checks - 1)) + 1
+
+
+class TestCheckSchedule:
+    # a check at every multiple of residual_check_every and at max_iter,
+    # plus at most one added check strictly between two multiples
+
+    @staticmethod
+    def _added_rows(rep, opts):
+        its = [row[0] for row in rep.gap_history]
+        assert its[0] == 0 and its == sorted(set(its))
+        added = [it for it in its if it % opts.residual_check_every and it != opts.max_iter]
+        bins = [it // opts.residual_check_every for it in added]
+        assert len(set(bins)) == len(bins)
+        return added
+
+    def test_row_layout(self):
+        half = np.zeros((8, 8))
+        half[:4] = 1.0
+        opts = SolveOptions()
+        n_added = 0
+        for spec in (NEU, DIR):
+            for rep in (
+                solve_elliptic(np.ones((8, 8)), spec, opts).report,
+                solve_resolvent(half, 0.1, spec, opts).report,
+            ):
+                n_added += len(self._added_rows(rep, opts))
+        tight = SolveOptions(max_iter=333, gap_tol=1e-15)
+        with pytest.raises(NonConvergenceError) as err:
+            solve_elliptic(np.ones((8, 8)), DIR, tight)
+        rep = err.value.report
+        assert rep.gap_history[-1][0] == 333
+        n_added += len(self._added_rows(rep, tight))
+        assert n_added > 0
+
+    def test_certifies_at_the_predicted_crossing(self):
+        # the gap crosses its tolerance between iterations 200 and 250;
+        # a multiples-only schedule certifies at 250
+        spec = GridSpec((32, 32), (1.0, 1.0), (1, 1), (1.0, 2.0), "neumann_block1")
+        g = np.zeros(spec.dims)
+        g[:16] = 1.0
+        g += 0.5 * np.random.default_rng(3).standard_normal(spec.dims)
+        rep = solve_resolvent(g, 0.1, spec).report
+        assert rep.converged and rep.iterations % 50 != 0
+        assert rep.gap_history[-1][0] == rep.iterations
+        assert rep.gap_history[-2][0] == 200
+        assert rep.final_gap <= 1e-8 * (1.0 + abs(rep.primal_value))
 
 
 class TestDualityGap:
