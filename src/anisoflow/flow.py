@@ -27,10 +27,8 @@ from .solver import SolveOptions, solve_resolvent
 class Trajectory:
     """States and certificates of an implicit Euler run.
 
-    ``times``/``states``/``energies`` hold the stored snapshots (every
-    ``stride``-th state, always including the initial and final ones).
-    ``step_gaps`` and ``certificates`` cover every step taken, stored or
-    not.
+    ``times``/``states``/``energies`` hold every state, the initial one
+    included; ``step_gaps`` and ``certificates`` hold one entry per step.
     """
 
     times: list[float] = field(default_factory=list)
@@ -45,28 +43,19 @@ class Trajectory:
 
 
 def evolve(
-    u0,
-    spec: GridSpec,
-    tau_time: float,
-    n_steps: int,
-    opts: SolveOptions | None = None,
-    stride: int = 1,
-    warm_start: bool = False,
+    u0, spec: GridSpec, tau_time: float, n_steps: int, opts: SolveOptions | None = None
 ) -> Trajectory:
     """Run ``n_steps`` implicit Euler steps of size ``tau_time`` from u0.
 
-    Every step starts its iteration from the current state, so a run of
-    n steps makes exactly the same resolvent calls as n chained runs of
-    one step.  ``warm_start=True`` additionally reuses each step's dual
-    variables to seed the next step (still deterministic, but the calls
-    then differ from single-step runs).  Solver failure is re-raised
-    with the failing step index and the trajectory of the steps certified
-    before it attached; that trajectory stores the last certified state
-    as its final one, as a run of that many steps would.
+    Each step is ``solve_resolvent(state, tau_time, spec, opts)``, so a
+    run of n steps makes exactly the same resolvent calls as n chained
+    runs of one step.  Solver failure is re-raised with the failing step
+    index and the trajectory of the steps certified before it attached;
+    its final state is the last certified one, as in a run of that many
+    steps.
     """
-    for name, value in (("n_steps", n_steps), ("stride", stride)):
-        if not (isinstance(value, numbers.Integral) and value >= 1):
-            raise InvalidInputError(f"{name} must be an integer of at least 1, got {value!r}")
+    if not (isinstance(n_steps, numbers.Integral) and n_steps >= 1):
+        raise InvalidInputError(f"n_steps must be an integer of at least 1, got {n_steps!r}")
     opts = opts or SolveOptions()
     state = check_scalar_field(u0, spec).copy()
     traj = Trajectory()
@@ -77,31 +66,17 @@ def evolve(
         traj.energies.append(eval_F(state, spec, opts.tv_norm))
 
     store(0.0)
-    y_seed = v0_seed = None
     for k in range(1, n_steps + 1):
         try:
-            res = solve_resolvent(
-                state,
-                tau_time,
-                spec,
-                opts,
-                u_init=state,
-                y_init=y_seed,
-                v0_init=v0_seed,
-            )
+            res = solve_resolvent(state, tau_time, spec, opts)
         except NonConvergenceError as e:
-            if (k - 1) % stride:
-                store((k - 1) * tau_time)
             raise NonConvergenceError(
                 f"evolution stalled at step {k}: {e}", report=e.report, step=k, trajectory=traj
             ) from e
         state = res.u
-        if warm_start:
-            y_seed, v0_seed = res.z, res.v0
         traj.step_gaps.append(res.report.final_gap)
         traj.certificates.append(res.report.certificate)
-        if k % stride == 0 or k == n_steps:
-            store(k * tau_time)
+        store(k * tau_time)
     return traj
 
 

@@ -23,6 +23,13 @@ norms (the primal weight of Applegate et al., NeurIPS 2021).  A zero
 movement, or a new weight that is not finite and positive, leaves
 omega as it is.  The iterate itself is never reset.
 
+Both problems start with the dual pair (z, v0) at 0, and the elliptic
+primal starts at 0.  A resolvent starts at the better of its two natural
+points, 0 and g.  Its check at iteration 0 values the exact primal g of
+the dual point 0, so the kept primal value is F(g); the objective at 0 is
+||g||^2 / (2 tau_time), since F(0) = 0.  The start is g unless 0 is
+strictly lower, which takes no gradient beyond the check's.
+
 Convergence is declared only through the certified gap: the primal
 value minus a dual value that is a true lower bound of the problem.
 Both dual values are exact.  The resolvent dual has no constraint, and
@@ -99,9 +106,7 @@ from .grid import (
     _scatter_impl,
     boundary_face_count,
     boundary_weights,
-    check_boundary_field,
     check_scalar_field,
-    check_vector_field,
 )
 from .prox import (
     project_ball,
@@ -426,7 +431,7 @@ def _reweight(omega, prob, last, u, y, v0):
     return new if 0.0 < new < math.inf else omega
 
 
-def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=None):
+def _solve(kind, data, spec, tau_time, opts):
     t0 = time.perf_counter()
     data = check_scalar_field(data, spec, name="f" if kind == "elliptic" else "g")
     prob = _Problem(kind, data, spec, tau_time, opts)
@@ -439,17 +444,23 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
         )
 
     # The workspace: one buffer per iterate and per full-size intermediate.
-    u = np.zeros(spec.dims) if u_init is None else check_scalar_field(u_init, spec).copy()
-    y = np.zeros((spec.ndim,) + spec.dims) if y_init is None else check_vector_field(y_init, spec).copy()
+    u = np.zeros(spec.dims)
+    y = np.zeros((spec.ndim,) + spec.dims)
     if prob.trace:
-        if v0_init is None:
-            v0 = np.zeros(boundary_face_count(spec))
-        else:
-            v0 = check_boundary_field(v0_init, spec, name="v0_init").copy()
+        v0 = np.zeros(boundary_face_count(spec))
         trace = np.empty(v0.shape)  # the step on v0
         spread = np.empty(spec.dims)  # its scatter onto the cells
     else:
         v0 = None
+    # The start rule: a resolvent's check at iteration 0 does not read u,
+    # and keeps F(g) to compare with the objective ||g||^2 / (2 tau_time) at 0.
+    track = _Tracker(prob, u, y, v0)
+    converged = track.check(0, u, y, v0)
+    last_gap = track.history[0][1]
+    if kind == "resolvent" and not (
+        0.5 / prob.tau_time * float(np.vdot(prob.g, prob.g)) * prob.vol < track.primal[0].total
+    ):
+        np.copyto(u, prob.g)
     ubar = u.copy()
     u_new = np.empty(spec.dims)
     step = np.empty((spec.ndim,) + spec.dims)  # y + sig_d * grad ubar
@@ -471,10 +482,7 @@ def _solve(kind, data, spec, tau_time, opts, u_init=None, y_init=None, v0_init=N
     # ``extra`` iteration a regular check may add before the next multiple.
     every = opts.residual_check_every
     extra = None
-    track = _Tracker(prob, u, y, v0)
     it = last_it = 0
-    converged = track.check(0, u, y, v0)
-    last_gap = track.history[0][1]
     while not converged and it < opts.max_iter:
         it += 1
         _grad_impl(ubar, spec, out=step)
@@ -567,30 +575,15 @@ def solve_elliptic(f, spec: GridSpec, opts: SolveOptions | None = None) -> Solve
 
 
 def solve_resolvent(
-    g,
-    tau_time: float,
-    spec: GridSpec,
-    opts: SolveOptions | None = None,
-    u_init=None,
-    y_init=None,
-    v0_init=None,
+    g, tau_time: float, spec: GridSpec, opts: SolveOptions | None = None
 ) -> SolveResult:
     """One implicit Euler step: minimize F(u) + ||u - g||^2 / (2 tau_time).
 
-    The returned u is the exact primal of the returned dual: u = g +
-    tau_time * div z, with the boundary flux v0, holds to roundoff (the
-    certificate's divergence_residual), so the gap is exactly the sum of
-    the certificate's pairing, Young and boundary terms.  The optional
-    warm-start arguments take (u, z, v0) as a solve returns them and
-    seed the iteration deterministically.
+    The iteration starts at u = g, or at u = 0 where that has the lower
+    objective, with the dual at 0.  The returned u is the exact primal of
+    the returned dual: u = g + tau_time * div z, with the boundary flux
+    v0, holds to roundoff (the certificate's divergence_residual), so the
+    gap is exactly the sum of the certificate's pairing, Young and
+    boundary terms.
     """
-    return _solve(
-        "resolvent",
-        g,
-        spec,
-        tau_time,
-        opts or SolveOptions(),
-        u_init=u_init,
-        y_init=y_init,
-        v0_init=v0_init,
-    )
+    return _solve("resolvent", g, spec, tau_time, opts or SolveOptions())

@@ -29,13 +29,9 @@ class TestEvolve:
     def test_argument_validation(self):
         with pytest.raises(InvalidInputError):
             evolve(np.zeros((6, 6)), SPEC, 0.2, 0, OPTS)
-        with pytest.raises(InvalidInputError):
-            evolve(np.zeros((6, 6)), SPEC, 0.2, 2, OPTS, stride=0)
         for n_steps in (2.5, np.inf):
             with pytest.raises(InvalidInputError, match="n_steps"):
                 evolve(np.zeros((6, 6)), SPEC, 0.2, n_steps, OPTS)
-        with pytest.raises(InvalidInputError, match="stride"):
-            evolve(np.zeros((6, 6)), SPEC, 0.2, 2, OPTS, stride=1.5)
 
     def test_trajectory_layout(self, trajectory):
         u0, traj = trajectory
@@ -45,14 +41,6 @@ class TestEvolve:
         assert len(traj.certificates) == 3
         np.testing.assert_array_equal(traj.states[0], u0)
         np.testing.assert_array_equal(traj.last, traj.states[-1])
-
-    def test_stride_keeps_first_and_last(self):
-        u0 = np.zeros((6, 6))
-        u0[:3] = 1.0
-        traj = evolve(u0, SPEC, 0.1, 5, OPTS, stride=2)
-        assert traj.times == [0.0, 0.2, 0.4, 0.5]
-        assert len(traj.states) == 4
-        assert len(traj.step_gaps) == 5
 
     def test_each_step_dissipates(self, trajectory):
         # F(next) + ||next - prev||^2 / 2tau <= F(prev) + step gap
@@ -68,16 +56,8 @@ class TestEvolve:
         u0, traj = trajectory
         state = u0
         for _ in range(3):
-            state = solve_resolvent(state, 0.2, SPEC, OPTS, u_init=state).u
+            state = solve_resolvent(state, 0.2, SPEC, OPTS).u
         np.testing.assert_array_equal(traj.last, state)
-
-    def test_warm_start_is_deterministic(self):
-        u0 = np.zeros((6, 6))
-        u0[2:4, 2:4] = 1.0
-        a = evolve(u0, SPEC, 0.2, 3, OPTS, warm_start=True)
-        b = evolve(u0, SPEC, 0.2, 3, OPTS, warm_start=True)
-        for x, y in zip(a.states, b.states):
-            np.testing.assert_array_equal(x, y)
 
     def test_failure_reports_step_index(self):
         u0 = np.zeros((6, 6))
@@ -89,27 +69,30 @@ class TestEvolve:
         assert err.value.report is not None
         assert err.value.trajectory.times == [0.0] and err.value.trajectory.step_gaps == []
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_failure_keeps_the_certified_steps(self, stride, monkeypatch):
-        # the second step fails; the first step's certificate and state survive
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_failure_keeps_the_certified_steps(self, failing, monkeypatch):
+        # the steps before the failing one keep their certificates and states
         calls = []
 
-        def second_fails(*args, **kwargs):
+        def one_fails(*args, **kwargs):
             calls.append(None)
-            if len(calls) == 2:
+            if len(calls) == failing:
                 raise NonConvergenceError("budget", report=None)
             return solve_resolvent(*args, **kwargs)
 
-        monkeypatch.setattr(flow, "solve_resolvent", second_fails)
+        monkeypatch.setattr(flow, "solve_resolvent", one_fails)
         u0 = np.zeros((6, 6))
         u0[:3] = 1.0
         with pytest.raises(NonConvergenceError) as err:
-            evolve(u0, SPEC, 0.2, 3, OPTS, stride=stride)
+            evolve(u0, SPEC, 0.2, 3, OPTS)
         traj = err.value.trajectory
-        assert err.value.step == 2
-        assert len(traj.step_gaps) == 1 and len(traj.certificates) == 1
-        assert traj.times == [0.0, 0.2]
-        np.testing.assert_array_equal(traj.last, solve_resolvent(u0, 0.2, SPEC, OPTS, u_init=u0).u)
+        assert err.value.step == failing
+        assert len(traj.step_gaps) == failing - 1 and len(traj.certificates) == failing - 1
+        assert traj.times == [0.2 * k for k in range(failing)]
+        state = u0
+        for _ in range(failing - 1):
+            state = solve_resolvent(state, 0.2, SPEC, OPTS).u
+        np.testing.assert_array_equal(traj.last, state)
 
 
 class TestComparison:

@@ -1,9 +1,13 @@
 """The README's Python example runs as written and documents every export."""
 
+import inspect
 import re
 from pathlib import Path
 
+import pytest
+
 import anisoflow
+from anisoflow import evolve, solve_elliptic, solve_resolvent
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,3 +29,11 @@ def test_every_export_is_documented():
     text = README.read_text(encoding="utf-8")
     missing = [n for n in anisoflow.__all__ if not re.search(rf"`{re.escape(n)}\b", text)]
     assert not missing, f"exports without a README entry: {missing}"
+
+
+@pytest.mark.parametrize("fn", [solve_elliptic, solve_resolvent, evolve], ids=lambda f: f.__name__)
+def test_call_signatures_list_every_parameter(fn):
+    calls = re.findall(rf"`{fn.__name__}\(([^)]*)\)`", README.read_text(encoding="utf-8"))
+    assert calls, f"no call signature of {fn.__name__} in the README"
+    for args in calls:
+        assert [a.strip() for a in args.split(",")] == list(inspect.signature(fn).parameters)
