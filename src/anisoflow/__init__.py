@@ -6,6 +6,8 @@ returns, alongside the solution, a certificate that checks the weak
 optimality conditions and a primal-dual gap bound.
 """
 
+import importlib
+
 from .certificates import (
     Certificate,
     check_weak_solution,
@@ -37,14 +39,6 @@ from .grid import (
     interior_divergence,
     weak_normal_trace,
 )
-from .io import (
-    RunConfig,
-    emit_report,
-    parse_config,
-    read_field,
-    write_field,
-)
-from .oracle import oracle_minimize
 from .prox import (
     project_ball,
     project_interval,
@@ -52,7 +46,6 @@ from .prox import (
     prox_primal_linear,
     prox_primal_quadratic,
 )
-from .selftest import run_selftest
 from .solver import (
     SolveOptions,
     SolveReport,
@@ -62,6 +55,27 @@ from .solver import (
 )
 
 __version__ = "0.1.0"
+
+# No solve uses the file formats, the reference minimizer or the battery,
+# so their modules are imported on first access to one of their names.
+_LAZY = {
+    "RunConfig": "io",
+    "emit_report": "io",
+    "parse_config": "io",
+    "read_field": "io",
+    "write_field": "io",
+    "oracle_minimize": "oracle",
+    "run_selftest": "selftest",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "Certificate",

@@ -30,6 +30,20 @@ overwritten and returned; without it they allocate the result.
 axis terms after the first.  Buffers must not overlap the input.  With
 or without them every entry comes from the same floating-point
 operations in the same order, so the results are bitwise equal.
+
+The kernels run from one plan per grid (``GridSpec._plan``), built on
+first use and kept on the instance, so no call rebuilds an index or
+hashes the spec.  Per axis it holds the flat slices of the shifted
+differences, the index tuples of the far, first and second-to-last
+slots, the spacing and the ghost flag.  For the faces it holds the flat
+cell index of every face in restriction order, the spacing of each
+face's axis and the face weights, which :func:`boundary_weights`
+returns read-only to every caller.  The restriction is one ``take`` over
+those indices; the scatter is one ``bincount`` over the same indices,
+which adds the face terms into zeroed cells in face order, so a cell
+shared by faces 1 and 2 gets (0 + t1) + t2, the sum of a face-by-face
+loop.  The plan holds indices and constants only, never functions, so
+replacing a kernel's module attribute still intercepts every call.
 """
 
 from __future__ import annotations
@@ -155,7 +169,7 @@ class GridSpec:
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
+        return math.prod(self.spacing)
 
     def block_axes(self, block: int) -> tuple[int, ...]:
         """Axis indices of a 1-based block."""
@@ -180,6 +194,50 @@ class GridSpec:
     @property
     def has_trace_term(self) -> bool:
         return self.boundary_mode == "dirichlet_penalized"
+
+    @functools.cached_property
+    def _plan(self) -> _Plan:
+        # cached_property writes the instance dict, not a field: it works
+        # on the frozen dataclass and leaves equality and hashing alone
+        return _Plan(self)
+
+
+class _Plan:
+    """One grid's kernel plan (module docstring).  ``grad`` and ``div`` hold
+    a tuple per axis, unpacked by name in their kernels; ``face_h`` is
+    None when every face spacing is 1."""
+
+    def __init__(self, spec: GridSpec):
+        dims = spec.dims
+        n = math.prod(dims)
+        self.vshape = (len(dims),) + dims
+        self.n_cells = n
+        self.grad, self.div = [], []
+        for a, h in enumerate(spec.spacing):
+            s = math.prod(dims[a + 1 :])  # one step along axis a on the flat array
+            pre = (slice(None),) * a
+            # An integer index gives a view without the length-1 axis, which
+            # the ufuncs run faster; the Ellipsis keeps it a view on 1-D grids.
+            far, first = pre + (-1, ...), pre + (0, ...)
+            ghost = a >= spec.blocks[0]
+            # component a of a flat vector field, less its last / first s cells
+            head, tail = slice(a * n, (a + 1) * n - s), slice(a * n + s, (a + 1) * n)
+            self.grad.append((a, slice(s, None), slice(None, n - s), head, far, (a,) + far, ghost, h))
+            self.div.append(
+                (a, tail, head, slice(s, None), first, (a,) + first,
+                 (a,) + pre + (-2, ...), far, ghost, h)
+            )
+        cells = np.arange(n).reshape(dims)
+        faces = boundary_faces(spec)
+        counts = [n // dims[a] for a, _s in faces]
+        self.gather = np.concatenate(
+            [cells[(slice(None),) * a + (0 if s == 0 else -1,)].ravel() for a, s in faces]
+        )
+        self.n_faces = self.gather.size
+        face_h = np.repeat([spec.spacing[a] for a, _s in faces], counts)
+        self.face_h = face_h if np.any(face_h != 1.0) else None
+        self.face_weights = np.repeat([spec.face_area(a) for a, _s in faces], counts)
+        self.face_weights.flags.writeable = False
 
 
 def check_scalar_field(u, spec: GridSpec, name: str = "u") -> np.ndarray:
@@ -227,10 +285,6 @@ def _power_blocks(spec: GridSpec) -> list[tuple[slice, float, float]]:
     return out
 
 
-def _idx(axis: int, sl) -> tuple:
-    return (slice(None),) * axis + (sl,)
-
-
 def grad_block(u, spec: GridSpec, block: int) -> np.ndarray:
     """Forward-difference gradient restricted to one 1-based block.
 
@@ -244,26 +298,24 @@ def grad_block(u, spec: GridSpec, block: int) -> np.ndarray:
 
 
 def _grad_impl(u: np.ndarray, spec: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
+    plan = spec._plan
     if out is None:
-        out = np.empty((spec.ndim,) + spec.dims)
-    flat = u.reshape(-1)
-    n1 = spec.blocks[0]
-    for a in range(spec.ndim):
-        g = out[a]
-        # On the flat array a step of `s` cells is one step along axis a;
-        # the steps that wrap into the next row land on the far slots,
-        # which the closure overwrites.
-        s = math.prod(spec.dims[a + 1 :])
-        np.subtract(flat[s:], flat[:-s], out=g.reshape(-1)[:-s])
-        far = _idx(a, slice(-1, None))
-        if a >= n1:
+        out = np.empty(plan.vshape)
+    flat, flat_out = u.reshape(-1), out.reshape(-1)
+    for a, hi, lo, dst, far, out_far, ghost, h in plan.grad:
+        # The flat cells hi and lo lie one step along axis a apart; the
+        # steps that wrap into the next row land on the far slots, which
+        # the closure overwrites.
+        np.subtract(flat[hi], flat[lo], out=flat_out[dst])
+        if ghost:
             # ghost value 0 beyond the far face; np.negative misreads some
             # strided views, the multiplication is the same negation
-            np.multiply(u[far], -1.0, out=g[far])
+            np.multiply(u[far], -1.0, out=out[out_far])
         else:
-            g[far] = 0.0
-        if spec.spacing[a] != 1.0:  # x / 1.0 == x
-            np.divide(g, spec.spacing[a], out=g)
+            out[out_far] = 0.0
+        if h != 1.0:  # x / 1.0 == x
+            g = out[a]
+            np.divide(g, h, out=g)
     return out
 
 
@@ -284,22 +336,20 @@ def _div_impl(
     # The flat steps that wrap land on the first slots, which are then
     # set.  The axis terms are summed in axis order; axes after the
     # first pass through `scratch`.
+    plan = spec._plan
     if out is None:
         out = np.empty(spec.dims)
     if scratch is None and spec.ndim > 1:
         scratch = np.empty(spec.dims)
-    n1 = spec.blocks[0]
-    for a in range(spec.ndim):
+    flat = z.reshape(-1)
+    for a, hi, lo, dst, first, z_first, z_before_far, far, ghost, h in plan.div:
         d = out if a == 0 else scratch
-        s = math.prod(spec.dims[a + 1 :])
-        za = z[a].reshape(-1)
-        np.subtract(za[s:], za[:-s], out=d.reshape(-1)[s:])
-        first = _idx(a, slice(0, 1))
-        d[first] = z[a][first]
-        if a < n1:
-            np.subtract(0.0, z[a][_idx(a, slice(-2, -1))], out=d[_idx(a, slice(-1, None))])
-        if spec.spacing[a] != 1.0:
-            np.divide(d, spec.spacing[a], out=d)
+        np.subtract(flat[hi], flat[lo], out=d.reshape(-1)[dst])
+        d[first] = z[z_first]
+        if not ghost:
+            np.subtract(0.0, z[z_before_far], out=d[far])
+        if h != 1.0:
+            np.divide(d, h, out=d)
         if a:
             out += d
     return out
@@ -323,31 +373,12 @@ def boundary_faces(spec: GridSpec) -> list[tuple[int, int]]:
 
 
 def boundary_face_count(spec: GridSpec) -> int:
-    return _face_table(spec)[1]
-
-
-@functools.cache
-def _face_table(spec: GridSpec):
-    """(axis, side slice index, offset, count, face shape) per face group,
-    in restriction order, and the total face count."""
-    total_cells = math.prod(spec.dims)
-    entries = []
-    pos = 0
-    for a, s in boundary_faces(spec):
-        n = total_cells // spec.dims[a]
-        shape = tuple(d for i, d in enumerate(spec.dims) if i != a)
-        entries.append((a, 0 if s == 0 else -1, pos, n, shape))
-        pos += n
-    return tuple(entries), pos
+    return spec._plan.n_faces
 
 
 def _restrict_impl(u: np.ndarray, spec: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
-    entries, total = _face_table(spec)
-    if out is None:
-        out = np.empty(total)
-    for a, edge, pos, n, shape in entries:
-        out[pos : pos + n].reshape(shape)[...] = u[_idx(a, edge)]
-    return out
+    # every index is in range, so the mode only spares take its buffered copy
+    return u.take(spec._plan.gather, out=out, mode="wrap")
 
 
 def boundary_restriction(u, spec: GridSpec) -> np.ndarray:
@@ -356,10 +387,11 @@ def boundary_restriction(u, spec: GridSpec) -> np.ndarray:
 
 
 def boundary_weights(spec: GridSpec) -> np.ndarray:
-    """Face area per boundary entry, matching the restriction order."""
-    entries, _total = _face_table(spec)
-    parts = [np.full(n, spec.face_area(a)) for a, _edge, _pos, n, _shape in entries]
-    return np.concatenate(parts) if parts else np.zeros(0)
+    """Face area per boundary entry, matching the restriction order.
+
+    The array is the grid's own and read-only.
+    """
+    return spec._plan.face_weights
 
 
 def boundary_scatter(w, spec: GridSpec) -> np.ndarray:
@@ -374,13 +406,12 @@ def boundary_scatter(w, spec: GridSpec) -> np.ndarray:
 
 
 def _scatter_impl(w: np.ndarray, spec: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
-    out = np.empty(spec.dims) if out is None else out
-    out.fill(0.0)
-    entries, _total = _face_table(spec)
-    for a, edge, pos, n, shape in entries:
-        face = w[pos : pos + n].reshape(shape)
-        h = spec.spacing[a]
-        out[_idx(a, edge)] += face if h == 1.0 else face / h
+    plan = spec._plan
+    terms = w if plan.face_h is None else w / plan.face_h
+    total = np.bincount(plan.gather, terms, plan.n_cells).reshape(spec.dims)
+    if out is None:
+        return total
+    np.copyto(out, total)
     return out
 
 
@@ -397,11 +428,9 @@ def weak_normal_trace(z, spec: GridSpec) -> np.ndarray:
         return np.zeros(boundary_face_count(spec))
     parts = []
     for a, s in boundary_faces(spec):
-        if s == 0:
-            parts.append(-z[a][_idx(a, 0)].ravel())
-        else:
-            parts.append(z[a][_idx(a, -1)].ravel())
-    return np.concatenate(parts) if parts else np.zeros(0)
+        face = z[a][(slice(None),) * a + (0 if s == 0 else -1,)].ravel()
+        parts.append(face if s else -face)
+    return np.concatenate(parts)
 
 
 def div_blocks(z, spec: GridSpec, boundary_flux=None) -> np.ndarray:

@@ -66,7 +66,8 @@ def project_interval(
     """Componentwise clamp onto [lo, hi]; ``out`` may be ``v`` itself."""
     if not lo <= hi:
         raise InvalidInputError(f"interval needs lo <= hi, got [{lo!r}, {hi!r}]")
-    return np.clip(np.asarray(v, dtype=float), lo, hi, out=out)
+    # the method skips np.clip's dispatch wrapper; both run the clip ufunc
+    return np.asarray(v, dtype=float).clip(lo, hi, out=out)
 
 
 def _check_power_params(sigma, q):

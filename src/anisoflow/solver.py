@@ -67,20 +67,24 @@ div z + scatter(v0).
 
 Each solve allocates one workspace up front: the iterates u, z and v0,
 the extrapolated point, the gradient stack, the divergence and its
-axis-term scratch, the boundary restriction and scatter buffers, and
-the iterate at the previous weight update.  The iteration runs in place
-on it, with u and its successor swapped by reference, and calls each
-kernel with ``out=``.  A block 1 of one axis projects its dual onto the
-interval [-1, 1], the unit ball of one component, with the bits of the
-ball projection.  What still allocates per iteration is the radial
-power prox at p != 2 (the cell magnitudes and their shrink factors,
-plus the Newton iterates at p other than 3/2 and 3), the product of the
-primal step and g in the resolvent prox, and face-sized terms of the
-scatter at non-unit spacing.  Every floating-point operation is the one
-the allocating kernels perform, in the same order, so iterates,
-certificates and iteration counts are bit for bit those of the
-allocating form.  Because the buffers are overwritten,
-the tracker copies every point it keeps.
+axis-term scratch, the boundary restriction buffer, the iterate at the
+previous weight update, and the views of the block-1 and power-block
+components that the dual step writes.  The iteration runs in place on
+it, with u and its successor swapped by reference, and calls every
+kernel but the scatter with ``out=``; the kernels read the grid's index
+plan (``grid``), built once per ``GridSpec``.  A block 1 of one axis
+projects its dual onto the interval [-1, 1], the unit ball of one
+component, with the bits of the ball projection.  What still allocates
+per iteration is the radial power prox at p != 2 (the cell magnitudes
+and their shrink factors, plus the Newton iterates at p other than 3/2
+and 3), the product of the primal step and g in the resolvent prox, and
+the scatter: its ``bincount`` sum, a cell-sized array that adds the
+face terms into zeroed cells in face order, and the face terms divided
+by their spacing where some spacing is not 1.  Every floating-point
+operation is the one the allocating kernels perform, in the same order,
+so iterates, certificates and iteration counts are bit for bit those of
+the allocating form.  Because the buffers are overwritten, the tracker
+copies every point it keeps.
 """
 
 from __future__ import annotations
@@ -449,7 +453,6 @@ def _solve(kind, data, spec, tau_time, opts):
     if prob.trace:
         v0 = np.zeros(boundary_face_count(spec))
         trace = np.empty(v0.shape)  # the step on v0
-        spread = np.empty(spec.dims)  # its scatter onto the cells
     else:
         v0 = None
     # The start rule: a resolvent's check at iteration 0 does not read u,
@@ -466,9 +469,11 @@ def _solve(kind, data, spec, tau_time, opts):
     step = np.empty((spec.ndim,) + spec.dims)  # y + sig_d * grad ubar
     w = np.empty(spec.dims)  # u + tau_p * A*(y, v0)
     tmp = np.empty(spec.dims)  # axis terms of the divergence
-    n1 = prob.n1
+    # The workspace views the dual step writes: block 1, then each power block.
+    step1, y1 = step[: prob.n1], y[: prob.n1]
+    power = [(step[sl], y[sl], q) for sl, _p, q in prob.power]
     # One component: the Euclidean ball is the interval, bit for bit.
-    ball = opts.tv_norm == "euclidean" and n1 > 1
+    ball = opts.tv_norm == "euclidean" and prob.n1 > 1
 
     # The steps carry the primal weight omega: dual omega * sigma, primal
     # sigma / omega, product sigma^2 for every omega.  ``last`` holds the
@@ -494,14 +499,14 @@ def _solve(kind, data, spec, tau_time, opts):
         step *= sig_d
         step += y
         if ball:
-            project_ball(step[:n1], out=y[:n1])
+            project_ball(step1, out=y1)
         else:
-            project_interval(step[:n1], out=y[:n1])
-        for sl, _p, q in prob.power:
-            prox_power_conj_radial(step[sl], sig_d, q, out=y[sl])
+            project_interval(step1, out=y1)
+        for step_b, y_b, q in power:
+            prox_power_conj_radial(step_b, sig_d, q, out=y_b)
         _div_impl(y, spec, out=w, scratch=tmp)
         if prob.trace:
-            w += _scatter_impl(v0, spec, out=spread)
+            w += _scatter_impl(v0, spec)
         w *= tau_p
         w += u
         if kind == "elliptic":

@@ -194,6 +194,17 @@ class TestBoundary:
         assert w.shape == (12,)
         np.testing.assert_allclose(w, 2.0)
 
+    def test_weights_are_read_only(self):
+        # the grid's own array, shared by every later solve on it
+        spec = GridSpec((4, 6), (0.5, 2.0), (1, 1), (1.0, 2.0))
+        w = boundary_weights(spec)
+        assert w is boundary_weights(spec)
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        with pytest.raises(ValueError):
+            w *= 2.0
+        np.testing.assert_array_equal(boundary_weights(spec), 2.0)
+
     def test_scatter_is_weighted_adjoint_of_restriction(self):
         rng = np.random.default_rng(3)
         spec = GridSpec((4, 3, 5), (0.5, 1.0, 0.25), (2, 1), (1.0, 2.0))

@@ -1,7 +1,10 @@
 """The README's Python example runs as written and documents every export."""
 
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +40,25 @@ def test_call_signatures_list_every_parameter(fn):
     assert calls, f"no call signature of {fn.__name__} in the README"
     for args in calls:
         assert [a.strip() for a in args.split(",")] == list(inspect.signature(fn).parameters)
+
+
+def test_import_leaves_unused_modules_out():
+    # a fresh interpreter: the file formats, the oracle and the battery load
+    # on first access to one of their names, and every export resolves
+    code = (
+        "import sys, anisoflow\n"
+        "lazy = ('anisoflow.io', 'anisoflow.oracle', 'anisoflow.selftest')\n"
+        "assert not [m for m in lazy if m in sys.modules], sorted(sys.modules)\n"
+        "for name in anisoflow.__all__:\n"
+        "    getattr(anisoflow, name)\n"
+        "assert all(m in sys.modules for m in lazy)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
