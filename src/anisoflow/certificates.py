@@ -228,9 +228,9 @@ def check_weak_solution(
     for sl, p, _q in _power_blocks(spec):
         gb = g[sl]
         gm = np.sqrt(np.sum(gb * gb, axis=0))
-        law = gm ** (p - 2.0) * gb if p >= 2.0 else np.where(gm > 0, gm, 1.0) ** (p - 2.0) * gb * (gm > 0)
-        diff = z[sl] - law
-        with np.errstate(over="ignore"):  # at large spacing, inf is the value
+        with np.errstate(over="ignore"):  # at large p or spacing, inf is the value
+            law = gm ** (p - 2.0) * gb if p >= 2.0 else np.where(gm > 0, gm, 1.0) ** (p - 2.0) * gb * (gm > 0)
+            diff = z[sl] - law
             consti.append(float(np.sqrt(np.sum(diff * diff) * vol)))
 
     w = div_blocks(z, spec, boundary_trace)

@@ -48,6 +48,19 @@ block-1 part and on v0 are untouched.  Each primal candidate of a check
 costs one gradient: the primal value and, for the point kept, the gap
 terms of its conjugate bracket are computed from it.
 
+Where every power exponent is 2, block 1 has one axis and the grid has
+at most 256 cells, each check from iteration ``residual_check_every``
+on also offers an active-set polish (module ``polish``, imported at the
+first one): the block-1 links and faces whose dual the projected iterate
+holds at exactly +-1 are taken as active, the optimality system is then
+linear, and one symmetric positive definite solve with one unknown per
+run of cells joined by free links gives a point that is exact wherever
+that guess is right (the primal-dual active-set step for total
+variation, Hintermueller and Kunisch, SIAM J. Appl. Math. 2004).  Its
+duals are clipped to their bounds, and the tracker values it like any
+other candidate, so the certificate does not change and a wrong guess
+costs one small solve.  A 1-iteration solve never polishes.
+
 The gap is checked at every multiple of ``residual_check_every`` and at
 max_iter.  The certified gap of restarted PDHG falls by a near-constant
 factor per iteration, so a regular check that does not certify
@@ -126,6 +139,10 @@ from .prox import (
 # (PDLP's beta_sufficient and beta_artificial, Applegate et al. 2023).
 _RESTART_SUFFICIENT = 0.2
 _RESTART_ARTIFICIAL = 0.36
+
+# The active-set polish solves a dense system with up to one unknown per
+# cell, so larger grids are not polished.
+_POLISH_CELLS = 256
 
 
 @dataclass(frozen=True)
@@ -246,9 +263,9 @@ class _Problem:
         """(breakdown, gradient) of the primal objective at u.
 
         A check computes the gap terms of the point it keeps from this
-        gradient, so each primal candidate is differentiated once.
+        gradient, so each primal candidate is differentiated once.  u is
+        finite: the tracker skips a candidate that is not.
         """
-        u = check_scalar_field(u, self.spec)
         g = _grad_impl(u, self.spec)
         if self.kind == "elliptic":
             src = -float(np.vdot(self.f, u)) * self.vol
@@ -314,13 +331,20 @@ class _Tracker:
     constraint sets are convex), and near degenerate flat regions the
     mean damps the oscillation of the raw iterates.  An elliptic solve
     offers the iterate u and its mean as primal candidates and keeps the
-    best primal and the best dual point independently; a primal candidate
-    whose value is -inf or NaN (its source term overflowed) bounds
-    nothing and is never kept.  A resolvent
+    best primal and the best dual point independently.  A resolvent
     pairs each dual candidate with its exact primal u(z) = g + tau_time *
     A*(z, v0) and keeps the pair of smallest gap, so its divergence
-    condition holds to roundoff.  Either way the certified gap never
-    increases between checks.  Each check logs (iteration, gap,
+    condition holds to roundoff.  Where the solve is polishable (module
+    docstring), a check also gets the polished point (u, z, v0): a
+    resolvent offers only its dual, as one more dual candidate; an
+    elliptic offers the pair, z restored like any dual candidate, and
+    keeps both halves if the pair's gap is below the certified gap after
+    the other candidates, and neither otherwise, so a polished z is never
+    certified with a u it does not fit.  A candidate is valued with
+    overflow silenced, and one that bounds nothing is never kept: a primal
+    point that is not finite or whose value is -inf or NaN (its source
+    term overflowed), and a dual point whose value is NaN.  Either way
+    the certified gap never increases between checks.  Each check logs (iteration, gap,
     conjugate bracket, source bracket): the brackets realize the
     eps-subdifferentiability of the certified pair, both nonnegative up
     to roundoff and summing exactly to the gap.  Where the primal and
@@ -352,32 +376,50 @@ class _Tracker:
         if v0 is not None:
             self.sum_v0 += v0
 
-    def check(self, it, u, y, v0) -> bool:
-        """Offer the iterate and the mean; True once the gap is certified."""
+    def check(self, it, u, y, v0, polished=None) -> bool:
+        """Offer the iterate, the mean and a polished point; True once certified.
+
+        ``polished`` is None or the (u, y, v0) of the active-set polish.
+        """
         prob = self.prob
         k = float(self.n)
         d_cands = [(y, v0)]
         if self.n:
             d_cands.append((self.sum_y / k, None if self.sum_v0 is None else self.sum_v0 / k))
-        if self.sum_u is not None:
-            for u_c in [u, self.sum_u / k] if self.n else [u]:
-                bd, g = prob.primal(u_c)
-                # a value of -inf or NaN (an overflowed source term) bounds nothing
-                if not bd.total > -math.inf:
+        if polished is not None and self.sum_u is None:
+            d_cands.append(polished[1:])
+        # A candidate may overflow; one that is not finite bounds nothing.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.sum_u is not None:
+                for u_c in [u, self.sum_u / k] if self.n else [u]:
+                    bd, g = self._primal(u_c)
+                    if bd is not None and (self.primal is None or bd.total < self.primal[0].total):
+                        self.primal = (bd, u_c.copy(), g)
+            for y_c, v0_c in d_cands:
+                value, y_c, u_c = prob.dual(y_c, v0_c)
+                if math.isnan(value):
                     continue
-                if self.primal is None or bd.total < self.primal[0].total:
-                    self.primal = (bd, u_c.copy(), g)
-        for y_c, v0_c in d_cands:
-            value, y_c, u_c = prob.dual(y_c, v0_c)
-            if u_c is None:  # elliptic: the highest dual value
-                better = self.dual is None or value > self.dual[0]
-            else:  # resolvent: the pair (u(z), z, v0) of smallest gap
-                bd, g = prob.primal(u_c)
-                better = self.primal is None or bd.total - value < self.primal[0].total - self.dual[0]
+                if u_c is None:  # elliptic: the highest dual value
+                    better = self.dual is None or value > self.dual[0]
+                else:  # resolvent: the pair (u(z), z, v0) of smallest gap
+                    bd, g = self._primal(u_c)
+                    better = bd is not None and (
+                        self.primal is None
+                        or bd.total - value < self.primal[0].total - self.dual[0]
+                    )
+                    if better:
+                        self.primal = (bd, u_c, g)
                 if better:
-                    self.primal = (bd, u_c, g)
-            if better:
-                self.dual = (value, y_c.copy(), None if v0_c is None else v0_c.copy())
+                    self.dual = (value, y_c.copy(), None if v0_c is None else v0_c.copy())
+            if polished is not None and self.sum_u is not None:
+                # elliptic: the polished pair replaces both halves or neither
+                u_p, y_p, v0_p = polished
+                bd, g = self._primal(u_p)
+                if bd is not None:
+                    value, y_p, _ = prob.dual(y_p, v0_p)
+                    if bd.total - value < self.primal[0].total - self.dual[0]:
+                        self.primal = (bd, u_p, g)
+                        self.dual = (value, y_p, v0_p)
         bd, u_w, g_w = self.primal
         value, y_w, v0_w = self.dual
         gap = bd.total - value
@@ -395,6 +437,17 @@ class _Tracker:
         if self.sum_v0 is not None:
             self.sum_v0.fill(0.0)
         return math.isfinite(gap) and gap <= self.tolerance()
+
+    def _primal(self, u):
+        """(breakdown, gradient) at u, or (None, None) where u bounds nothing.
+
+        That is where u is not finite, or its value is -inf or NaN (an
+        overflowed source term).
+        """
+        if not np.isfinite(u).all():
+            return None, None
+        bd, g = self.prob.primal(u)
+        return (bd, g) if bd.total > -math.inf else (None, None)
 
     def tolerance(self) -> float:
         """The gap that certifies: gap_tol * (1 + |primal value|)."""
@@ -485,7 +538,12 @@ def _solve(kind, data, spec, tau_time, opts):
 
     # Checks fall on the multiples of ``every``, on max_iter, and on the one
     # ``extra`` iteration a regular check may add before the next multiple.
+    # From iteration ``every`` on, each check of a polishable solve also
+    # offers the polished point.
     every = opts.residual_check_every
+    polishable = (
+        prob.n1 == 1 and u.size <= _POLISH_CELLS and all(p == 2.0 for _sl, p, _q in prob.power)
+    )
     extra = None
     it = last_it = 0
     while not converged and it < opts.max_iter:
@@ -519,7 +577,12 @@ def _solve(kind, data, spec, tau_time, opts):
         track.add(u, y, v0)
         regular = it % every == 0
         if regular or it == extra or it == opts.max_iter:
-            converged = track.check(it, u, y, v0)
+            polished = None
+            if polishable and it >= every:
+                from . import polish
+
+                polished = polish.candidate(prob, y, v0)
+            converged = track.check(it, u, y, v0, polished)
             gap = track.history[-1][1]
             if not converged and (
                 gap <= _RESTART_SUFFICIENT * last_gap or it - last_it >= _RESTART_ARTIFICIAL * it

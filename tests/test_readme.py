@@ -44,7 +44,8 @@ def test_call_signatures_list_every_parameter(fn):
 
 def test_import_leaves_unused_modules_out():
     # a fresh interpreter: the file formats, the oracle and the battery load
-    # on first access to one of their names, and every export resolves
+    # on first access to one of their names, and every export resolves; the
+    # active-set polish loads only when a solve first polishes
     code = (
         "import sys, anisoflow\n"
         "lazy = ('anisoflow.io', 'anisoflow.oracle', 'anisoflow.selftest')\n"
@@ -52,6 +53,7 @@ def test_import_leaves_unused_modules_out():
         "for name in anisoflow.__all__:\n"
         "    getattr(anisoflow, name)\n"
         "assert all(m in sys.modules for m in lazy)\n"
+        "assert 'anisoflow.polish' not in sys.modules\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from anisoflow import GridSpec, InvalidInputError, certificates, energy, grid, solver
+from anisoflow import GridSpec, InvalidInputError, certificates, energy, grid, polish, solver
 from anisoflow.energy import eval_J
 from anisoflow.errors import NonConvergenceError
 from anisoflow.grid import boundary_face_count, div_blocks
@@ -116,10 +116,11 @@ class TestOpnorm:
         # is below the tolerance, so it certifies u = 0 at iteration 0.
         # The resolvent certifies from 1e-70 down only from the start 0,
         # and at 1e80 and 1e90 only from the start g, so the cases cover
-        # both sides of its start rule.  The elliptic from 1e80 up and the
-        # resolvent at 1e150 do not certify: the elliptic optimum with
-        # f = 1 overflows, and the resolvent's trace term (norm h^-1/2)
-        # dwarfs its gradient (norm h^-1).  The report says so, with no NaN.
+        # both sides of its start rule.  At 1e150 its trace term (norm
+        # h^-1/2) dwarfs its gradient (norm h^-1) and PDHG stalls, but the
+        # active-set polish certifies it.  The elliptic from 1e80 up does
+        # not certify: its optimum with f = 1 overflows.  The report says
+        # so, with no NaN.
         data = np.zeros((8, 8))
         data[:4] = 1.0
         if h < 1.5e-154:
@@ -140,7 +141,7 @@ class TestOpnorm:
             assert rep.certificate.sup_norm_z1 <= 1.0 and rep.certificate.trace_sup <= 1.0
             assert (rep.iterations == 0) == (kind == "elliptic")
             return
-        if kind == "resolvent" and h < 1e150:
+        if kind == "resolvent":
             rep = solve(SolveOptions(max_iter=1000)).report
             assert rep.converged and rep.final_gap <= 1e-8 * (1.0 + abs(rep.primal_value))
             assert rep.certificate.sup_norm_z1 <= 1.0 and rep.certificate.trace_sup <= 1.0
@@ -328,8 +329,8 @@ class TestResolvent:
         assert solve_resolvent(g, 0.1, spec).report.converged
 
     def test_stationary_iterate_keeps_finite_steps(self, monkeypatch):
-        # spacing (1e3, 1e-3) does not certify within the budget, and the
-        # weight may drift far from 1 meanwhile
+        # spacing (1e3, 1e-3) does not certify within 6000 iterations, and
+        # the weight may drift far from 1 meanwhile
         steps = []
         quadratic = solver.prox_primal_quadratic
 
@@ -377,6 +378,14 @@ class TestResolvent:
         # |du| = 8 and |d(y, v0)| = sqrt(128 + 16) over 16 unit faces, so
         # omega -> sqrt(2 * 12 / 8)
         assert _reweight(2.0, prob, last(), u + 1.0, y + 1.0, v0 + 1.0) == pytest.approx(3.0**0.5)
+
+    def test_large_exponent_law_does_not_warn(self):
+        # |grad u|^(p - 2) overflows in the certificate's constitutive law;
+        # inf is its value there, and the solve reports it without a warning
+        spec = GridSpec((4, 4), (7.4e-21, 9.7e-17), (1, 1), (1.0, 1.66e5), "neumann_block1")
+        g = np.random.default_rng(0).standard_normal((4, 4))
+        with pytest.raises(NonConvergenceError):
+            solve_resolvent(g, 29.0, spec, SolveOptions(max_iter=1))
 
     def test_nonexpansive_in_weighted_l2(self):
         spec = GridSpec(
@@ -433,6 +442,19 @@ class TestTracker:
             np.testing.assert_array_equal(track.dual[2], kept_v0)
             assert not np.array_equal(kept_u, u) and not np.array_equal(kept_v0, v0)
 
+    def test_overflowed_candidate_bounds_nothing(self):
+        # the exact primal g + tau_time * A*(y) of this dual overflows: it is
+        # skipped, without a warning, and the kept pair stays
+        spec = GridSpec((4, 4), (1.0, 1.0), (1, 1), (1.0, 2.0), "neumann_block1")
+        prob = _Problem("resolvent", np.ones((4, 4)), spec, 29.0, SolveOptions())
+        u, y = np.ones((4, 4)), np.zeros((2, 4, 4))
+        track = _Tracker(prob, u, y, None)
+        track.check(0, u, y, None)
+        big = np.where(np.indices(y.shape).sum(axis=0) % 2, 1e308, -1e308)
+        assert not track.check(1, u, big, None)
+        assert track.history[1][1:] == track.history[0][1:]
+        np.testing.assert_array_equal(track.dual[1], y)
+
     @pytest.mark.parametrize("spec", [NEU, DIR], ids=["neumann", "dirichlet"])
     @pytest.mark.parametrize("kind", ["elliptic", "resolvent"])
     def test_returned_pair_certifies_at_once(self, kind, spec):
@@ -454,7 +476,8 @@ class TestTracker:
     @pytest.mark.parametrize("kind", ["elliptic", "resolvent"])
     def test_one_gradient_per_checked_point(self, kind, spec, monkeypatch):
         # one per iteration, one per primal candidate of a check (the
-        # iterate alone at iteration 0, then two), one for the certificate
+        # iterate alone at iteration 0, then two, plus the polished point
+        # from iteration 50 on), one for the certificate
         calls = []
         real = grid._grad_impl
 
@@ -472,7 +495,7 @@ class TestTracker:
             rep = solve_resolvent(data, 0.1, spec).report
         checks = len(rep.gap_history)
         assert rep.converged and checks > 1
-        assert len(calls) == rep.iterations + (1 + 2 * (checks - 1)) + 1
+        assert len(calls) == rep.iterations + (1 + 3 * (checks - 1)) + 1
 
 
 class TestCheckSchedule:
@@ -493,7 +516,10 @@ class TestCheckSchedule:
         half[:4] = 1.0
         opts = SolveOptions()
         n_added = 0
-        for spec in (NEU, DIR):
+        # the active-set polish certifies p = 2 at iteration 50, so the
+        # added checks show at p = 3
+        p3 = [GridSpec((8, 8), (1.0, 1.0), (1, 1), (1.0, 3.0), s.boundary_mode) for s in (NEU, DIR)]
+        for spec in (NEU, DIR, *p3):
             for rep in (
                 solve_elliptic(np.ones((8, 8)), spec, opts).report,
                 solve_resolvent(half, 0.1, spec, opts).report,
@@ -501,7 +527,7 @@ class TestCheckSchedule:
                 n_added += len(self._added_rows(rep, opts))
         tight = SolveOptions(max_iter=333, gap_tol=1e-15)
         with pytest.raises(NonConvergenceError) as err:
-            solve_elliptic(np.ones((8, 8)), DIR, tight)
+            solve_elliptic(np.ones((8, 8)), p3[1], tight)
         rep = err.value.report
         assert rep.gap_history[-1][0] == 333
         n_added += len(self._added_rows(rep, tight))
@@ -519,6 +545,60 @@ class TestCheckSchedule:
         assert rep.gap_history[-1][0] == rep.iterations
         assert rep.gap_history[-2][0] == 200
         assert rep.final_gap <= 1e-8 * (1.0 + abs(rep.primal_value))
+
+
+class TestPolish:
+    # the active-set polish: p = 2, a one-axis block 1, at most 256 cells
+
+    @pytest.mark.parametrize(
+        "kind, h", [("resolvent", (1e3, 1e-3)), ("resolvent", (1e2, 1e-2)), ("elliptic", (1e6, 1e6))]
+    )
+    def test_stalled_solves_certify(self, kind, h):
+        # none of these certifies within its budget without the polish; the
+        # resolvent at spacing 1e150 is a case of the spacing test above
+        spec = GridSpec((8, 8), h, (1, 1), (1.0, 2.0))
+        if kind == "elliptic":
+            rep = solve_elliptic(np.ones((8, 8)), spec).report
+        else:
+            g = np.zeros((8, 8))
+            g[:4] = 1.0
+            rep = solve_resolvent(g, 0.1, spec).report
+        assert rep.converged and rep.final_gap <= 1e-8 * (1.0 + abs(rep.primal_value))
+        assert rep.certificate.sup_norm_z1 <= 1.0 and rep.certificate.trace_sup <= 1.0
+
+    def test_certifies_16x16_elliptic_at_once(self):
+        # 1850 iterations without the polish
+        spec = GridSpec((16, 16), (1.0, 1.0), (1, 1), (1.0, 2.0))
+        rep = solve_elliptic(np.ones(spec.dims), spec).report
+        assert rep.converged and rep.iterations <= 100
+        assert rep.certificate.divergence_residual <= 1e-12 * (1.0 + abs(rep.primal_value))
+
+    def test_first_check_polishes_nothing(self, monkeypatch):
+        # a 1-iteration solve neither polishes nor builds the operators
+        calls = []
+        real = polish.candidate
+        monkeypatch.setattr(polish, "candidate", lambda *a: calls.append(a) or real(*a))
+        spec = GridSpec((8, 8), (0.75, 1.25), (1, 1), (1.0, 2.0))
+        before = polish._operators.cache_info().currsize
+        with pytest.raises(NonConvergenceError):
+            solve_elliptic(np.ones((8, 8)), spec, SolveOptions(max_iter=1))
+        assert not calls and polish._operators.cache_info().currsize == before
+        solve_elliptic(np.ones((8, 8)), spec)
+        assert calls and polish._operators.cache_info().currsize == before + 1
+
+    def test_p3_history_is_unchanged(self):
+        # outside the polish every check is the one the plain iteration gives
+        spec = GridSpec((8, 8), (1.0, 1.0), (1, 1), (1.0, 3.0))
+        g = np.zeros(spec.dims)
+        g[:4] = 1.0
+        rep = solve_resolvent(g, 0.1, spec).report
+        assert rep.gap_history == [
+            (0, 17.333333333333336, 17.333333333333336, 0.0),
+            (50, 0.2647585423802816, 0.26475854238028257, -9.43689570931383e-16),
+            (100, 0.04850921583237877, 0.0485092158323779, 8.743006318923108e-16),
+            (150, 0.0004230138874561362, 0.00042301388745375656, 2.3796611382798094e-15),
+            (200, 7.212008767965017e-13, 7.189888831755762e-13, 2.2119936209254806e-15),
+        ]
 
 
 class TestDualityGap:
