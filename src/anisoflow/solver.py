@@ -48,18 +48,18 @@ block-1 part and on v0 are untouched.  Each primal candidate of a check
 costs one gradient: the primal value and, for the point kept, the gap
 terms of its conjugate bracket are computed from it.
 
-Where every power exponent is 2, block 1 has one axis and the grid has
-at most 256 cells, each check from iteration ``residual_check_every``
-on also offers an active-set polish (module ``polish``, imported at the
-first one): the block-1 links and faces whose dual the projected iterate
-holds at exactly +-1 are taken as active, the optimality system is then
-linear, and one symmetric positive definite solve with one unknown per
-run of cells joined by free links gives a point that is exact wherever
-that guess is right (the primal-dual active-set step for total
-variation, Hintermueller and Kunisch, SIAM J. Appl. Math. 2004).  Its
-duals are clipped to their bounds, and the tracker values it like any
-other candidate, so the certificate does not change and a wrong guess
-costs one small solve.  A 1-iteration solve never polishes.
+Where every power exponent is 2 and block 1 has one axis, each check
+from iteration ``residual_check_every`` on also offers an active-set
+polish (module ``polish``, imported at the first one): the block-1 links
+and faces whose dual the projected iterate holds at exactly +-1 start
+the active set, on which the optimality system is linear, and a few
+rounds of the primal-dual active-set strategy (Hintermueller and
+Kunisch, SIAM J. Appl. Math. 2004) correct that set, each a symmetric
+positive definite solve with one unknown per run of cells joined by
+free links.  The last point's duals are clipped to their bounds, and the
+tracker values it like any other candidate, so the certificate does not
+change and a wrong set costs a few solves.  A 1-iteration solve never
+polishes.
 
 The gap is checked at every multiple of ``residual_check_every`` and at
 max_iter.  The certified gap of restarted PDHG falls by a near-constant
@@ -139,10 +139,6 @@ from .prox import (
 # (PDLP's beta_sufficient and beta_artificial, Applegate et al. 2023).
 _RESTART_SUFFICIENT = 0.2
 _RESTART_ARTIFICIAL = 0.36
-
-# The active-set polish solves a dense system with up to one unknown per
-# cell, so larger grids are not polished.
-_POLISH_CELLS = 256
 
 
 @dataclass(frozen=True)
@@ -541,9 +537,7 @@ def _solve(kind, data, spec, tau_time, opts):
     # From iteration ``every`` on, each check of a polishable solve also
     # offers the polished point.
     every = opts.residual_check_every
-    polishable = (
-        prob.n1 == 1 and u.size <= _POLISH_CELLS and all(p == 2.0 for _sl, p, _q in prob.power)
-    )
+    polishable = prob.n1 == 1 and all(p == 2.0 for _sl, p, _q in prob.power)
     extra = None
     it = last_it = 0
     while not converged and it < opts.max_iter:
@@ -581,7 +575,7 @@ def _solve(kind, data, spec, tau_time, opts):
             if polishable and it >= every:
                 from . import polish
 
-                polished = polish.candidate(prob, y, v0)
+                polished = polish.candidate(prob, u, y, v0)
             converged = track.check(it, u, y, v0, polished)
             gap = track.history[-1][1]
             if not converged and (

@@ -329,8 +329,9 @@ class TestResolvent:
         assert solve_resolvent(g, 0.1, spec).report.converged
 
     def test_stationary_iterate_keeps_finite_steps(self, monkeypatch):
-        # spacing (1e3, 1e-3) does not certify within 6000 iterations, and
-        # the weight may drift far from 1 meanwhile
+        # spacing (1e3, 1e-3) at p = 3 does not certify within 6000
+        # iterations, and the weight may drift far from 1 meanwhile (at
+        # p = 2 the active-set polish certifies it at iteration 50)
         steps = []
         quadratic = solver.prox_primal_quadratic
 
@@ -339,7 +340,7 @@ class TestResolvent:
             return quadratic(w, tau, g, tau_time, out=out)
 
         monkeypatch.setattr(solver, "prox_primal_quadratic", spy)
-        spec = GridSpec((8, 8), (1e3, 1e-3), (1, 1), (1.0, 2.0))
+        spec = GridSpec((8, 8), (1e3, 1e-3), (1, 1), (1.0, 3.0))
         g = np.zeros(spec.dims)
         g[:4] = 1.0
         with pytest.raises(NonConvergenceError) as err:
@@ -535,8 +536,9 @@ class TestCheckSchedule:
 
     def test_certifies_at_the_predicted_crossing(self):
         # the gap crosses its tolerance between iterations 200 and 250;
-        # a multiples-only schedule certifies at 250
-        spec = GridSpec((32, 32), (1.0, 1.0), (1, 1), (1.0, 2.0), "neumann_block1")
+        # a multiples-only schedule certifies at 250 (at p = 2 the
+        # active-set polish certifies at 50)
+        spec = GridSpec((32, 32), (1.0, 1.0), (1, 1), (1.0, 3.0), "neumann_block1")
         g = np.zeros(spec.dims)
         g[:16] = 1.0
         g += 0.5 * np.random.default_rng(10).standard_normal(spec.dims)
@@ -548,14 +550,17 @@ class TestCheckSchedule:
 
 
 class TestPolish:
-    # the active-set polish: p = 2, a one-axis block 1, at most 256 cells
+    # the active-set polish: every exponent 2 and a one-axis block 1, on
+    # any grid; a few active-set rounds per check, each a dense solve up to
+    # polish._DENSE_UNKNOWNS unknowns and a matrix-free CG above
 
     @pytest.mark.parametrize(
         "kind, h", [("resolvent", (1e3, 1e-3)), ("resolvent", (1e2, 1e-2)), ("elliptic", (1e6, 1e6))]
     )
     def test_stalled_solves_certify(self, kind, h):
-        # none of these certifies within its budget without the polish; the
-        # resolvent at spacing 1e150 is a case of the spacing test above
+        # none of these certifies within its budget without the polish, and
+        # one guess per check took the resolvents 11950 and 2700 iterations;
+        # the resolvent at spacing 1e150 is a case of the spacing test above
         spec = GridSpec((8, 8), h, (1, 1), (1.0, 2.0))
         if kind == "elliptic":
             rep = solve_elliptic(np.ones((8, 8)), spec).report
@@ -564,6 +569,7 @@ class TestPolish:
             g[:4] = 1.0
             rep = solve_resolvent(g, 0.1, spec).report
         assert rep.converged and rep.final_gap <= 1e-8 * (1.0 + abs(rep.primal_value))
+        assert rep.iterations <= 100
         assert rep.certificate.sup_norm_z1 <= 1.0 and rep.certificate.trace_sup <= 1.0
 
     def test_certifies_16x16_elliptic_at_once(self):
@@ -572,6 +578,105 @@ class TestPolish:
         rep = solve_elliptic(np.ones(spec.dims), spec).report
         assert rep.converged and rep.iterations <= 100
         assert rep.certificate.divergence_residual <= 1e-12 * (1.0 + abs(rep.primal_value))
+
+    def test_certifies_64x64_elliptic_at_once(self):
+        # 10400 iterations without the polish; its first round's reduced
+        # system is solved by CG
+        spec = GridSpec((64, 64), (1.0, 1.0), (1, 1), (1.0, 2.0))
+        rep = solve_elliptic(np.ones(spec.dims), spec).report
+        assert rep.converged and rep.iterations <= 100
+        assert rep.certificate.divergence_residual <= 1e-12 * (1.0 + abs(rep.primal_value))
+
+    def test_certifies_noisy_256x256_resolvent_at_once(self):
+        # a denoising step: about 200 iterations without the polish
+        spec = GridSpec((256, 256), (1.0, 1.0), (1, 1), (1.0, 2.0), "neumann_block1")
+        g = np.zeros(spec.dims)
+        g[:128] = 1.0
+        g += 0.5 * np.random.default_rng(3).standard_normal(spec.dims)
+        res = solve_resolvent(g, 0.1, spec)
+        rep = res.report
+        assert rep.converged and rep.iterations <= 100
+        assert rep.final_gap <= 1e-8 * (1.0 + abs(rep.primal_value))
+        assert np.max(np.abs(res.u - g - 0.1 * div_blocks(res.z, spec, res.v0))) <= 1e-12
+
+    def test_large_systems_skip_the_dense_solve(self, monkeypatch):
+        # above polish._DENSE_UNKNOWNS unknowns only CG runs: a threaded LU
+        # stalls from about 100 unknowns where BLAS threads are not pinned
+        sizes, solved = [], []
+        dense, pcg = np.linalg.solve, polish._pcg
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: sizes.append(b.size) or dense(a, b))
+        monkeypatch.setattr(polish, "_pcg", lambda *a: solved.append(a[1].size) or pcg(*a))
+        spec = GridSpec((16, 16), (1.0, 1.0), (1, 1), (1.0, 2.0))
+        g = np.zeros(spec.dims)
+        g[:8] = 1.0
+        g += 0.5 * np.random.default_rng(4).standard_normal(spec.dims)
+        assert solve_resolvent(g, 0.1, spec).report.converged  # about 200 unknowns
+        assert solve_elliptic(np.ones(spec.dims), spec).report.converged  # 16
+        assert solved and min(solved) > polish._DENSE_UNKNOWNS
+        assert sizes and max(sizes) <= polish._DENSE_UNKNOWNS
+
+    @pytest.mark.parametrize("mode", ["neumann_block1", "dirichlet_penalized"])
+    def test_cg_matches_the_dense_solve(self, mode, monkeypatch):
+        # the u of one round on a 16x16 grid (about 170 unknowns), its
+        # reduced system solved by CG and densely
+        spec = GridSpec((16, 16), (0.5, 2.0), (1, 1), (1.0, 2.0), mode)
+        rng = np.random.default_rng(31)
+        g = rng.standard_normal(spec.dims)
+        prob = _Problem("resolvent", g, spec, 0.1, SolveOptions())
+        y = np.clip(2.0 * rng.standard_normal((2,) + spec.dims), -1.0, 1.0)
+        v0 = np.clip(2.0 * rng.standard_normal(boundary_face_count(spec)), -1.0, 1.0)
+        monkeypatch.setattr(polish, "_ROUNDS", 1)
+        points = []
+        for cap in (0, 10**6):
+            monkeypatch.setattr(polish, "_DENSE_UNKNOWNS", cap)
+            points.append(polish.candidate(prob, g, y, v0))
+        (cg, *_), (lu, *_) = points
+        assert np.max(np.abs(cg - lu)) <= 1e-12 * np.max(np.abs(lu))
+
+    @staticmethod
+    def _noisy_resolvent():
+        # a 32x32 denoising step and a projected dual point far from its optimum
+        spec = GridSpec((32, 32), (1.0, 1.0), (1, 1), (1.0, 2.0), "neumann_block1")
+        g = np.zeros(spec.dims)
+        g[:16] = 1.0
+        g += 0.5 * np.random.default_rng(10).standard_normal(spec.dims)
+        y = np.clip(np.random.default_rng(2).standard_normal((2,) + spec.dims), -1.0, 1.0)
+        return _Problem("resolvent", g, spec, 0.1, SolveOptions()), y
+
+    def test_rounds_stop_at_the_cap(self, monkeypatch):
+        # this point takes more than two rounds, so a cap of two cuts it short
+        calls = []
+        real = polish._round
+        monkeypatch.setattr(polish, "_round", lambda *a: calls.append(None) or real(*a))
+        prob, y = self._noisy_resolvent()
+        full = polish.candidate(prob, prob.g, y, None)
+        n_full = len(calls)
+        monkeypatch.setattr(polish, "_ROUNDS", 2)
+        calls.clear()
+        capped = polish.candidate(prob, prob.g, y, None)
+        assert n_full > 2 and len(calls) == 2
+        assert np.isfinite(capped[0]).all() and np.max(np.abs(capped[1][0])) <= 1.0
+        assert not np.array_equal(full[0], capped[0])
+
+    def test_failed_round_keeps_the_last_point(self, monkeypatch):
+        # a round whose CG breaks down offers the round before it; a first
+        # round that fails offers nothing
+        prob, y = self._noisy_resolvent()
+        monkeypatch.setattr(polish, "_ROUNDS", 1)
+        first = polish.candidate(prob, prob.g, y, None)
+        monkeypatch.setattr(polish, "_ROUNDS", 8)
+        calls, pcg = [], polish._pcg
+
+        def broken(apply, b, diag, x):
+            calls.append(None)
+            return pcg(apply, b, diag, x) if len(calls) == 1 else np.full(b.size, np.nan)
+
+        monkeypatch.setattr(polish, "_pcg", broken)
+        kept = polish.candidate(prob, prob.g, y, None)
+        assert len(calls) == 2
+        for a, b in zip(kept[:2], first[:2]):
+            np.testing.assert_array_equal(a, b)
+        assert polish.candidate(prob, prob.g, y, None) is None
 
     def test_first_check_polishes_nothing(self, monkeypatch):
         # a 1-iteration solve neither polishes nor builds the operators
