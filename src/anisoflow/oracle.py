@@ -3,17 +3,20 @@
 Replaces every nonsmooth absolute value (per-cell block-1 magnitude,
 boundary trace, and power magnitudes with exponent below 2) by the
 smooth surrogate sqrt(x^2 + eps^2) - eps, minimizes the smoothed
-objective by gradient descent with a Barzilai-Borwein trial step and
-Armijo backtracking, and drives eps down a fixed schedule, warm-starting
-each stage.  The surrogate is uniformly within eps of the true term, so
-the exact energy at the final point is a certified near-optimal value.
+objective by damped Newton on its exact dense Hessian, and drives eps
+down a fixed schedule, warm-starting each stage.  The surrogate is
+uniformly within eps of the true term, so the exact energy at the final
+point is a certified near-optimal value.
 
-Deliberately slow and simple: this is the ground truth the fast solver
-is validated against, so it shares no iteration machinery with it.
+Deliberately simple: this is the ground truth the fast solver is
+validated against, so it shares no iteration machinery with it.  Its
+only operators are the public ``gradient`` and ``boundary_restriction``,
+applied once per grid to unit fields to build their matrices.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -24,124 +27,117 @@ from .grid import (
     GridSpec,
     _power_blocks,
     boundary_restriction,
-    boundary_scatter,
     boundary_weights,
     check_scalar_field,
     gradient,
-    interior_divergence,
 )
 
 _MAX_CELLS = 256  # 16 x 16
 
 # Continuation schedule, strictly decreasing and ending at 1e-8, and the
-# per-stage descent controls (see _descend).
+# Newton steps allowed per stage (see _newton).
 _EPS_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
-_STAGE_GRAD_TOL = 1e-6
-_MAX_INNER = 200000
-_PROGRESS_FLOOR = 1e-13
-_STALL_WINDOW = 30
+_MAX_NEWTON = 200
 
 
-def _value_and_grad(u, spec: GridSpec, eps: float, kind: str, data, tau_time: float):
-    """Smoothed objective value and its exact analytic gradient.
+@functools.cache
+def _matrices(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient matrix, shaped (ndim, cells, cells), and trace matrix."""
+    n = math.prod(spec.dims)
+    units = np.eye(n).reshape((n,) + spec.dims)
+    grad = np.stack([gradient(e, spec).reshape(spec.ndim, n) for e in units], axis=-1)
+    trace = np.stack([boundary_restriction(e, spec) for e in units], axis=-1)
+    return grad, trace
+
+
+def _derivatives(x, spec: GridSpec, eps: float, kind: str, data, tau_time: float):
+    """Smoothed objective at the flat field x: value, gradient, Hessian.
 
     ``kind`` is "elliptic" or "resolvent" and eps is positive, as
     :func:`oracle_minimize` guarantees; fields are assumed validated.
+    Every block, block 1 as exponent 1, is m^p / p in its cell magnitude
+    m, smoothed to sqrt(|g|^2 + eps^2) where p < 2.
     """
     vol = spec.cell_volume
-    n1 = spec.blocks[0]
-    g = gradient(u, spec)
-    s = np.zeros_like(g)
-
-    m1 = np.sqrt(np.sum(g[:n1] * g[:n1], axis=0) + eps * eps)
-    val = float(np.sum(m1 - eps)) * vol
-    s[:n1] = g[:n1] / m1
-
-    for sl, p, _q in _power_blocks(spec):
-        sq = np.sum(g[sl] * g[sl], axis=0)
-        if p >= 2.0:
-            m = np.sqrt(sq)
-            val += float(np.sum(m**p)) * vol / p
-            s[sl] = m ** (p - 2.0) * g[sl]
-        else:
-            me = np.sqrt(sq + eps * eps)
-            val += float(np.sum(me**p - eps**p)) * vol / p
-            s[sl] = me ** (p - 2.0) * g[sl]
-
-    grad = -vol * interior_divergence(s, spec)
+    G, R = _matrices(spec)
+    g = G @ x
+    val, grad, hess = 0.0, np.zeros_like(x), np.zeros((x.size, x.size))
+    blocks = [(slice(0, spec.blocks[0]), 1.0)] + [(sl, p) for sl, p, _q in _power_blocks(spec)]
+    for sl, p in blocks:
+        gb, A = g[sl], G[sl].reshape(-1, x.size)
+        s = eps if p < 2.0 else 0.0
+        m = np.sqrt(np.sum(gb * gb, axis=0) + s * s)
+        val += float(np.sum(m**p - s**p)) * vol / p
+        # per cell: gradient a g, Hessian a (I + (p - 2) e e^T), with e = g / m
+        a = m ** (p - 2.0)
+        e = np.divide(gb, m, out=np.zeros_like(gb), where=m > 0)
+        E = np.einsum("kc,kcj->cj", e, G[sl])
+        grad += vol * (A.T @ (a * gb).ravel())
+        hess += vol * (A.T @ (np.tile(a, len(gb))[:, None] * A))
+        hess += vol * (p - 2.0) * (E.T @ (a[:, None] * E))
 
     if spec.has_trace_term:
-        tr = boundary_restriction(u, spec)
-        tre = np.sqrt(tr * tr + eps * eps)
-        val += float(np.sum((tre - eps) * boundary_weights(spec)))
-        grad += vol * boundary_scatter(tr / tre, spec)
+        w, t = boundary_weights(spec), R @ x
+        r = np.sqrt(t * t + eps * eps)
+        val += float(np.sum((r - eps) * w))
+        grad += R.T @ (w * t / r)
+        hess += R.T @ ((w * eps * eps / r**3)[:, None] * R)
 
     if kind == "elliptic":
-        val -= float(np.vdot(data, u)) * vol
+        val -= float(np.vdot(data, x)) * vol
         grad -= vol * data
     else:
-        d = u - data
+        d = x - data
         val += 0.5 / tau_time * float(np.vdot(d, d)) * vol
         grad += vol * d / tau_time
-    return val, grad
+        hess[np.diag_indices(x.size)] += vol / tau_time
+    return val, grad, hess
 
 
-def _descend(u, spec, eps, kind, data, tau_time, stage_index):
-    """BB-stepped Armijo descent for one smoothing stage.
+def _newton(x, spec, eps, kind, data, tau_time, stage_index):
+    """Damped Newton with Armijo backtracking for one smoothing stage.
 
-    Stops when the weighted gradient norm meets the stage tolerance, or
-    when the per-iteration decrease stays below ``_PROGRESS_FLOOR``
-    (relative) for ``_STALL_WINDOW`` consecutive accepted steps: at the
-    tightest smoothings the backtracked iteration reaches the double
-    precision floor of the surrogate before the gradient test can fire,
-    and the best iterate found is then returned.  Only exhausting
-    ``_MAX_INNER`` is an error.
+    Stops once the Newton decrement grad.H^-1.grad is below the value's
+    rounding unit, or when 80 halvings of the step find no decrease (the
+    surrogate's numerical floor); the best iterate is then returned.
+    The Hessian is shifted by the rounding unit of its largest diagonal
+    entry, which keeps a singular one (a p > 2 block at zero gradient)
+    solvable.  Only exhausting ``_MAX_NEWTON`` steps is an error.
     """
-    val, grad = _value_and_grad(u, spec, eps, kind, data, tau_time)
-    gn2 = float(np.vdot(grad, grad))
-    step = 1.0 / (1.0 + np.sqrt(gn2))
-    stalled = 0
-    for _ in range(_MAX_INNER):
-        if np.sqrt(gn2 * spec.cell_volume) <= _STAGE_GRAD_TOL * (1.0 + abs(val)):
-            return u, val
-        t = step
+    val, grad, hess = _derivatives(x, spec, eps, kind, data, tau_time)
+    tiny, diag = np.finfo(float).eps, np.diag_indices(x.size)
+    for _ in range(_MAX_NEWTON):
+        hess[diag] += tiny * np.max(hess[diag])
+        step = np.linalg.solve(hess, -grad)
+        dec = -float(np.vdot(grad, step))
+        if dec <= tiny * (1.0 + abs(val)):
+            return x, val
+        t = 1.0
         for _bt in range(80):
-            cand = u - t * grad
-            cval, cgrad = _value_and_grad(cand, spec, eps, kind, data, tau_time)
-            if cval <= val - 1e-4 * t * gn2:
+            cand = x + t * step
+            cval, cgrad, chess = _derivatives(cand, spec, eps, kind, data, tau_time)
+            if cval <= val - 1e-4 * t * dec:
                 break
             t *= 0.5
         else:
-            # no decrease in 80 halvings: the surrogate's numerical floor
-            return u, val
-        if val - cval <= _PROGRESS_FLOOR * (1.0 + abs(cval)):
-            stalled += 1
-        else:
-            stalled = 0
-        du = cand - u
-        dg = cgrad - grad
-        denom = float(np.vdot(du, dg))
-        step = float(np.vdot(du, du)) / denom if denom > 0 else 2.0 * t
-        u, val, grad = cand, cval, cgrad
-        gn2 = float(np.vdot(grad, grad))
-        if stalled >= _STALL_WINDOW:
-            return u, val
+            return x, val
+        x, val, grad, hess = cand, cval, cgrad, chess
     raise NumericalFailureError(
-        f"oracle stage did not meet its gradient tolerance within "
-        f"{_MAX_INNER} iterations at eps={eps:g}",
-        residual=float(np.sqrt(gn2 * spec.cell_volume)),
+        f"oracle stage did not meet its Newton decrement tolerance within "
+        f"{_MAX_NEWTON} steps at eps={eps:g}",
+        residual=math.sqrt(dec),
         stage=stage_index,
     )
 
 
 def oracle_minimize(problem_kind: str, data, spec: GridSpec, tau_time: float = 1.0):
-    """(u_ref, value_ref) from the continuation descent; small grids only.
+    """(u_ref, value_ref) from the Newton continuation; small grids only.
 
     value_ref is the exact (unsmoothed) objective at the final iterate,
     hence always an upper bound for the true minimum no matter how each
     stage terminated.  Deterministic: starts from zero, no randomness
-    anywhere.  A stage that exhausts its iteration budget raises with
-    the stage index.
+    anywhere.  A stage that exhausts its Newton budget raises with the
+    stage index.
     """
     if problem_kind not in ("elliptic", "resolvent"):
         raise InvalidInputError("problem_kind must be 'elliptic' or 'resolvent'")
@@ -152,9 +148,10 @@ def oracle_minimize(problem_kind: str, data, spec: GridSpec, tau_time: float = 1
     if not (tau_time > 0 and math.isfinite(tau_time)):
         raise InvalidInputError(f"tau_time must be positive and finite, got {tau_time}")
     data = check_scalar_field(data, spec, name="data")
-    u = np.zeros(spec.dims)
+    x = np.zeros(data.size)
     for i, eps in enumerate(_EPS_SCHEDULE):
-        u, _ = _descend(u, spec, eps, problem_kind, data, tau_time, i)
+        x, _ = _newton(x, spec, eps, problem_kind, data.ravel(), tau_time, i)
+    u = x.reshape(spec.dims)
     if problem_kind == "elliptic":
         value = eval_J(u, data, spec).total
     else:

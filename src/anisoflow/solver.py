@@ -177,8 +177,11 @@ class SolveReport:
     (iteration, gap, conjugate bracket, source bracket), never NaN.  Its
     rows fall at iteration 0, at the multiples of
     ``residual_check_every`` and at max_iter, plus at most one
-    added row between two multiples.  The
-    residuals of the returned pair live in ``certificate`` alone.
+    added row between two multiples.  A gap is the primal value less the
+    dual value, each computed apart, so ``final_gap`` and the gaps in
+    ``gap_history`` may be negative by roundoff; they are not clamped,
+    so a gap negative beyond roundoff stays visible.  The residuals of
+    the returned pair live in ``certificate`` alone.
     """
 
     problem: str

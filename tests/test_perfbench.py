@@ -1,8 +1,9 @@
-"""Smoke tests of the benchmark harness: a traced run ends in a strict JSON result,
-and its tracer sees every kernel call."""
+"""Smoke tests of the benchmark harness: traced and untraced runs end in a strict
+JSON result, and the tracer sees every kernel call."""
 
 import importlib.util
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -18,13 +19,12 @@ def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name} in the result line")
 
 
-@pytest.mark.parametrize("workload", ["elliptic-power", "denoise", "flow"])
-def test_traced_run_ends_in_a_result_line(tmp_path, workload):
+def _result_line(tmp_path, workload, trace):
     # run from a copy, so the harness's .perfbench/ outputs stay out of the checkout
     for name in ("src", "perfbench"):
         shutil.copytree(ROOT / name, tmp_path / name, ignore=shutil.ignore_patterns("__pycache__"))
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "1", "--trace", "1"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "1", "--trace", trace],
         cwd=tmp_path,
         capture_output=True,
         text=True,
@@ -33,9 +33,25 @@ def test_traced_run_ends_in_a_result_line(tmp_path, workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_reject_constant)
     assert result["correct"] is True and result["failed"] == 0
+    return result
+
+
+@pytest.mark.parametrize("workload", ["elliptic-power", "denoise", "flow"])
+def test_traced_run_ends_in_a_result_line(tmp_path, workload):
+    result = _result_line(tmp_path, workload, "1")
     assert {"solver.iterations", "solver.checks"} <= result["metrics"].keys()
     if workload == "elliptic-power":
         assert "solver.opnorm.s" in result["metrics"]
+
+
+@pytest.mark.parametrize("workload", ["elliptic-power", "denoise", "flow"])
+def test_untraced_run_ends_in_a_result_line(tmp_path, workload):
+    # the end-to-end metrics come from untraced runs
+    metrics = _result_line(tmp_path, workload, "0")["metrics"]
+    for name in ("setup_s", "certify_s"):
+        value = metrics[name]["value"]
+        assert isinstance(value, float) and math.isfinite(value), name
+        assert metrics[name]["unit"] == "s"
 
 
 def test_tracer_sees_every_kernel_call():

@@ -587,6 +587,14 @@ class TestPolish:
         assert rep.converged and rep.iterations <= 100
         assert rep.certificate.divergence_residual <= 1e-12 * (1.0 + abs(rep.primal_value))
 
+    def test_certified_gap_is_negative_only_by_roundoff(self):
+        # primal and dual values of the polished pair are computed apart:
+        # at primal -4.4e7 this gap reads -1.2e-7, and it is not clamped
+        spec = GridSpec((128, 128), (1.0, 1.0), (1, 1), (1.0, 2.0))
+        rep = solve_elliptic(np.ones(spec.dims), spec).report
+        assert rep.converged
+        assert rep.final_gap >= -1e-14 * (1.0 + abs(rep.primal_value))
+
     def test_certifies_noisy_256x256_resolvent_at_once(self):
         # a denoising step: about 200 iterations without the polish
         spec = GridSpec((256, 256), (1.0, 1.0), (1, 1), (1.0, 2.0), "neumann_block1")
