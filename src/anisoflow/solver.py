@@ -48,31 +48,42 @@ block-1 part and on v0 are untouched.  Each primal candidate of a check
 costs one gradient: the primal value and, for the point kept, the gap
 terms of its conjugate bracket are computed from it.
 
-Where every power exponent is 2 and block 1 has one axis, each check
-from iteration ``residual_check_every`` on also offers an active-set
-polish (module ``polish``, imported at the first one): the block-1 links
-and faces whose dual the projected iterate holds at exactly +-1 start
-the active set, on which the optimality system is linear, and a few
-rounds of the primal-dual active-set strategy (Hintermueller and
-Kunisch, SIAM J. Appl. Math. 2004) correct that set, each a symmetric
-positive definite solve with one unknown per run of cells joined by
-free links.  The last point's duals are clipped to their bounds, and the
-tracker values it like any other candidate, so the certificate does not
-change and a wrong set costs a few solves.  A 1-iteration solve never
+Where every power exponent is 2 and block 1 has one axis, the solve is
+polishable: it adds a check at iteration ``_FIRST_POLISH`` (10, or
+``residual_check_every`` where that is smaller), and each check from
+there on also offers an active-set polish (module ``polish``, imported
+at the first one).  The active set settles long before the gap is small:
+the first polish certifies every p = 2 solve of the benchmark.  The
+block-1 links and faces whose dual the projected iterate holds at
+exactly +-1 start the active set, on which the optimality system is
+linear, and a few rounds of the primal-dual active-set strategy
+(Hintermueller and Kunisch, SIAM J. Appl. Math. 2004) correct that set,
+each a symmetric positive definite solve with one unknown per run of
+cells joined by free links.  The last point's duals are clipped to their
+bounds, and the tracker values it like any other candidate, so the
+certificate does not change and a wrong set costs a few solves.  A solve
+that ends before the first polish, such as a 1-iteration warm-up, never
 polishes.
 
-The gap is checked at every multiple of ``residual_check_every`` and at
-max_iter.  The certified gap of restarted PDHG falls by a near-constant
-factor per iteration, so a regular check that does not certify
-extrapolates the decay since the previous check to the iteration where
-the gap should reach its tolerance, and if that lies before the next
-multiple it checks once more there.  This added check is a full check
-(the candidates, the means and the weight gate all act as at any
-check), but it schedules nothing itself.  So at most one check falls
-between two multiples, and a solve spends fewer of its iterations past
-the point where its gap could certify.  The schedule only reads the
-check history, so until a solve's first added check every iterate and
-check is the one a multiples-only schedule gives.
+The gap is checked at every multiple of ``residual_check_every``, at
+max_iter and, in a polishable solve, at the first polish.  The certified
+gap of restarted PDHG falls by a near-constant factor per iteration, so
+a regular check that does not certify extrapolates the decay since the
+previous check to the iteration where the gap should reach its
+tolerance, and if that lies before the next multiple it checks once more
+there.  Both added checks are full checks (the candidates and the means
+act as at any check) that schedule nothing themselves, and the predicted
+one also runs the weight gate.  A first polish check before the first
+multiple skips it: a weight updated from 10 iterations of movement is a
+poor one, and the 128x128 dirichlet f = 1 elliptic, which the polish
+certifies at iteration 50, took 2050 iterations with the gate run there.
+So the first polish check moves no iterate; it changes the later checks
+only through the points it keeps and the shorter span of the next mean
+and decay.  At most one check falls between two multiples, and a solve
+spends fewer of its iterations past the point where its gap could
+certify.  The schedule only reads the check history, so until a solve's
+first added check every iterate and check is the one a multiples-only
+schedule gives.
 
 The iterated dual pair (z, v0) is the one returned: z the vector field
 and v0 the weak normal flux on the penalized faces, with A*(z, v0) =
@@ -139,6 +150,9 @@ from .prox import (
 # (PDLP's beta_sufficient and beta_artificial, Applegate et al. 2023).
 _RESTART_SUFFICIENT = 0.2
 _RESTART_ARTIFICIAL = 0.36
+# A polishable solve adds a check at this iteration (or at
+# residual_check_every, if that comes first) and polishes from there on.
+_FIRST_POLISH = 10
 
 
 @dataclass(frozen=True)
@@ -147,7 +161,8 @@ class SolveOptions:
 
     ``residual_check_every`` is the longest interval between two gap
     checks: a check falls on each of its multiples, and at most one more
-    between two of them where the gap's decay predicts certification.
+    between two of them, at the first polish (module docstring) or where
+    the gap's decay predicts certification.
     """
 
     max_iter: int = 50000
@@ -176,9 +191,11 @@ class SolveReport:
     which is not reported.  ``gap_history`` logs each check as
     (iteration, gap, conjugate bracket, source bracket), never NaN.  Its
     rows fall at iteration 0, at the multiples of
-    ``residual_check_every`` and at max_iter, plus at most one
-    added row between two multiples.  A gap is the primal value less the
-    dual value, each computed apart, so ``final_gap`` and the gaps in
+    ``residual_check_every`` and at max_iter, plus at most one added row
+    between two multiples: between 0 and the first multiple the first
+    polish check of a polishable solve (module docstring), between later
+    ones a predicted crossing.  A gap is the primal value less the dual
+    value, each computed apart, so ``final_gap`` and the gaps in
     ``gap_history`` may be negative by roundoff; they are not clamped,
     so a gap negative beyond roundoff stays visible.  The residuals of
     the returned pair live in ``certificate`` alone.
@@ -537,11 +554,12 @@ def _solve(kind, data, spec, tau_time, opts):
 
     # Checks fall on the multiples of ``every``, on max_iter, and on the one
     # ``extra`` iteration a regular check may add before the next multiple.
-    # From iteration ``every`` on, each check of a polishable solve also
-    # offers the polished point.
+    # A polishable solve also checks at ``first``, and from there on each of
+    # its checks offers the polished point.
     every = opts.residual_check_every
     polishable = prob.n1 == 1 and all(p == 2.0 for _sl, p, _q in prob.power)
-    extra = None
+    first = min(_FIRST_POLISH, every)
+    extra = first if polishable else None
     it = last_it = 0
     while not converged and it < opts.max_iter:
         it += 1
@@ -575,13 +593,14 @@ def _solve(kind, data, spec, tau_time, opts):
         regular = it % every == 0
         if regular or it == extra or it == opts.max_iter:
             polished = None
-            if polishable and it >= every:
+            if polishable and it >= first:
                 from . import polish
 
                 polished = polish.candidate(prob, u, y, v0)
             converged = track.check(it, u, y, v0, polished)
             gap = track.history[-1][1]
-            if not converged and (
+            # The first polish check, before ``every``, leaves the weight alone.
+            if not converged and it >= every and (
                 gap <= _RESTART_SUFFICIENT * last_gap or it - last_it >= _RESTART_ARTIFICIAL * it
             ):
                 omega = _reweight(omega, prob, last, u, y, v0)

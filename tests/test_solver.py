@@ -269,8 +269,10 @@ class TestElliptic:
         assert all(b <= a for a, b in zip(gaps, gaps[1:]))
 
     def test_budget_exhaustion_carries_report(self):
+        # at p = 2 the active-set polish certifies at iteration 10
+        spec = GridSpec((8, 8), (1.0, 1.0), (1, 1), (1.0, 3.0), "neumann_block1")
         with pytest.raises(NonConvergenceError) as err:
-            solve_elliptic(np.ones((8, 8)), NEU, SolveOptions(max_iter=10, gap_tol=1e-14))
+            solve_elliptic(np.ones((8, 8)), spec, SolveOptions(max_iter=10, gap_tol=1e-14))
         assert err.value.report is not None
         assert err.value.report.iterations == 10
         assert not err.value.report.converged
@@ -331,7 +333,7 @@ class TestResolvent:
     def test_stationary_iterate_keeps_finite_steps(self, monkeypatch):
         # spacing (1e3, 1e-3) at p = 3 does not certify within 6000
         # iterations, and the weight may drift far from 1 meanwhile (at
-        # p = 2 the active-set polish certifies it at iteration 50)
+        # p = 2 the active-set polish certifies it at iteration 10)
         steps = []
         quadratic = solver.prox_primal_quadratic
 
@@ -478,7 +480,7 @@ class TestTracker:
     def test_one_gradient_per_checked_point(self, kind, spec, monkeypatch):
         # one per iteration, one per primal candidate of a check (the
         # iterate alone at iteration 0, then two, plus the polished point
-        # from iteration 50 on), one for the certificate
+        # from iteration 10 on), one for the certificate
         calls = []
         real = grid._grad_impl
 
@@ -517,7 +519,7 @@ class TestCheckSchedule:
         half[:4] = 1.0
         opts = SolveOptions()
         n_added = 0
-        # the active-set polish certifies p = 2 at iteration 50, so the
+        # the active-set polish certifies p = 2 at iteration 10, so the
         # added checks show at p = 3
         p3 = [GridSpec((8, 8), (1.0, 1.0), (1, 1), (1.0, 3.0), s.boundary_mode) for s in (NEU, DIR)]
         for spec in (NEU, DIR, *p3):
@@ -537,7 +539,7 @@ class TestCheckSchedule:
     def test_certifies_at_the_predicted_crossing(self):
         # the gap crosses its tolerance between iterations 200 and 250;
         # a multiples-only schedule certifies at 250 (at p = 2 the
-        # active-set polish certifies at 50)
+        # active-set polish certifies at 10)
         spec = GridSpec((32, 32), (1.0, 1.0), (1, 1), (1.0, 3.0), "neumann_block1")
         g = np.zeros(spec.dims)
         g[:16] = 1.0
@@ -686,18 +688,58 @@ class TestPolish:
             np.testing.assert_array_equal(a, b)
         assert polish.candidate(prob, prob.g, y, None) is None
 
-    def test_first_check_polishes_nothing(self, monkeypatch):
-        # a 1-iteration solve neither polishes nor builds the operators
+    @pytest.mark.parametrize("kind", ["elliptic", "resolvent"])
+    @pytest.mark.parametrize("max_iter", [1, 9])
+    def test_first_check_polishes_nothing(self, kind, max_iter, monkeypatch):
+        # a solve that ends before the first polish (a warm-up solve) neither
+        # polishes nor builds the operators
         calls = []
         real = polish.candidate
         monkeypatch.setattr(polish, "candidate", lambda *a: calls.append(a) or real(*a))
         spec = GridSpec((8, 8), (0.75, 1.25), (1, 1), (1.0, 2.0))
-        before = polish._operators.cache_info().currsize
+        half = np.zeros(spec.dims)
+        half[:4] = 1.0
+
+        def run(opts):
+            if kind == "elliptic":
+                return solve_elliptic(np.ones(spec.dims), spec, opts)
+            return solve_resolvent(half, 0.1, spec, opts)
+
+        polish._operators.cache_clear()
         with pytest.raises(NonConvergenceError):
-            solve_elliptic(np.ones((8, 8)), spec, SolveOptions(max_iter=1))
-        assert not calls and polish._operators.cache_info().currsize == before
-        solve_elliptic(np.ones((8, 8)), spec)
-        assert calls and polish._operators.cache_info().currsize == before + 1
+            run(SolveOptions(max_iter=max_iter))
+        assert not calls and polish._operators.cache_info().currsize == 0
+        run(SolveOptions())
+        assert calls and polish._operators.cache_info().currsize == 1
+
+    def test_early_check_certifies(self):
+        # an 8x8 half-indicator step certifies at the check added at
+        # iteration solver._FIRST_POLISH
+        g = np.zeros((8, 8))
+        g[:4] = 1.0
+        rep = solve_resolvent(g, 0.1, DIR).report
+        assert rep.converged and rep.iterations == solver._FIRST_POLISH == 10
+        assert [row[0] for row in rep.gap_history] == [0, 10]
+
+    def test_early_check_keeps_the_weight(self, monkeypatch):
+        # the early polish does not certify this solve, and the check at
+        # iteration 10 leaves the primal weight alone: run there, the weight
+        # gate took it to iteration 100
+        calls = []
+        real = solver._reweight
+        monkeypatch.setattr(solver, "_reweight", lambda *a: calls.append(a) or real(*a))
+        spec = GridSpec((8, 8), (10.0, 0.1), (1, 1), (1.0, 2.0))
+        rep = solve_elliptic(np.ones(spec.dims), spec).report
+        assert rep.converged and [row[0] for row in rep.gap_history] == [0, 10, 50]
+        assert not calls
+
+    def test_early_check_leaves_the_schedule(self):
+        # 128x128 dirichlet f = 1: the early polish does not certify, and
+        # the solve certifies at iteration 50 as without it; with the weight
+        # gate run at iteration 10 it took 2050 iterations
+        spec = GridSpec((128, 128), (1.0, 1.0), (1, 1), (1.0, 2.0), "dirichlet_penalized")
+        rep = solve_elliptic(np.ones(spec.dims), spec).report
+        assert rep.converged and [row[0] for row in rep.gap_history] == [0, 10, 50]
 
     def test_p3_history_is_unchanged(self):
         # outside the polish every check is the one the plain iteration gives
